@@ -36,7 +36,7 @@ int main() {
   sim.Run(300);
   std::printf("t=%lds: %zu objects seen by readers, miss rate %.1f%%\n",
               static_cast<long>(sim.now()),
-              sim.collector().KnownObjects().size(),
+              sim.collector().num_known_objects(),
               100.0 * sim.reading_stats().MissRate());
 
   // --- Range query: "who is inside this rectangle right now?" ---

@@ -1,146 +1,39 @@
 #include "graph/distance_index.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
+#include "graph/shortest_path.h"
 
 namespace ipqs {
 
-DistanceIndex::DistanceIndex(const WalkingGraph* graph, size_t capacity)
-    : graph_(graph), capacity_(std::max<size_t>(capacity, 1)) {
+DistanceIndex::DistanceIndex(const WalkingGraph* graph,
+                             const AnchorPointIndex* anchors,
+                             std::vector<GraphLocation> targets)
+    : graph_(graph), anchors_(anchors), targets_(std::move(targets)) {
   IPQS_CHECK(graph != nullptr);
+  IPQS_CHECK(anchors != nullptr);
+  table_.resize(static_cast<size_t>(anchors->num_anchors()) * targets_.size());
+  filled_.resize(anchors->num_anchors(), 0);
 }
 
-GraphLocation DistanceIndex::Canonicalize(const GraphLocation& source) const {
-  return CanonicalSourceLocation(*graph_, source);
-}
-
-std::shared_ptr<const OneToAllDistances> DistanceIndex::Lookup(
-    const GraphLocation& source) {
-  const GraphLocation canon = Canonicalize(source);
-  const Key key = MakeKey(canon);
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      ++shard.stats.hits;
-      if (!it->second.pinned) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      }
-      if (metrics_.hits != nullptr) metrics_.hits->Increment();
-      return it->second.table;
-    }
-    ++shard.stats.misses;
+std::span<const double> DistanceIndex::Lookup(AnchorId anchor) {
+  IPQS_CHECK(anchor >= 0 && anchor < anchors_->num_anchors());
+  double* row = table_.data() + static_cast<size_t>(anchor) * targets_.size();
+  if (filled_[anchor]) {
+    ++stats_.hits;
+    if (metrics_.hits != nullptr) metrics_.hits->Increment();
+    return {row, targets_.size()};
   }
+  ++stats_.misses;
   if (metrics_.misses != nullptr) metrics_.misses->Increment();
-  // Dijkstra outside the lock: a racing miss for the same key computes an
-  // identical table and Insert keeps whichever landed first.
-  auto table = std::make_shared<const OneToAllDistances>(*graph_, canon);
-  return Insert(key, std::move(table), /*pinned=*/false);
-}
-
-void DistanceIndex::Pin(const GraphLocation& source) {
-  const GraphLocation canon = Canonicalize(source);
-  const Key key = MakeKey(canon);
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.pinned) {
-      return;  // Already pinned.
-    }
+  const AnchorPoint& a = anchors_->anchor(anchor);
+  const OneToAllDistances from(*graph_, GraphLocation{a.edge, a.offset});
+  for (size_t t = 0; t < targets_.size(); ++t) {
+    row[t] = from.ToLocation(targets_[t]);
   }
-  auto table = std::make_shared<const OneToAllDistances>(*graph_, canon);
-  Insert(key, std::move(table), /*pinned=*/true);
-}
-
-std::shared_ptr<const OneToAllDistances> DistanceIndex::Insert(
-    const Key& key, std::shared_ptr<const OneToAllDistances> table,
-    bool pinned) {
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<const OneToAllDistances> resident;
-  bool over_budget = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      if (pinned && !it->second.pinned) {
-        // Promote in place: drop from the LRU list, keep the resident table.
-        shard.lru.erase(it->second.lru_pos);
-        it->second.pinned = true;
-        unpinned_count_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (!pinned) {
-        // Lost the miss race: a concurrent miss for this key computed and
-        // inserted the identical table first, so this Dijkstra was wasted.
-        ++shard.stats.race_drops;
-        if (metrics_.race_drops != nullptr) metrics_.race_drops->Increment();
-      }
-      return it->second.table;
-    }
-
-    Entry entry;
-    entry.table = std::move(table);
-    entry.pinned = pinned;
-    if (!pinned) {
-      shard.lru.push_front(key);
-      entry.lru_pos = shard.lru.begin();
-      unpinned_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    resident = shard.entries.emplace(key, std::move(entry)).first->second.table;
-    if (!pinned) {
-      EvictLocked(shard);
-      over_budget =
-          unpinned_count_.load(std::memory_order_relaxed) > capacity_;
-    }
-  }
-  if (over_budget) {
-    // Hot-key skew can concentrate entries in shards other than the one we
-    // just drained; sweep them one lock at a time (two shard locks are
-    // never held together, so there is no ordering to deadlock on).
-    for (Shard& other : shards_) {
-      if (&other == &shard) continue;
-      if (unpinned_count_.load(std::memory_order_relaxed) <= capacity_) break;
-      std::lock_guard<std::mutex> lock(other.mu);
-      EvictLocked(other);
-    }
-  }
-  return resident;
-}
-
-void DistanceIndex::EvictLocked(Shard& shard) {
-  while (unpinned_count_.load(std::memory_order_relaxed) > capacity_ &&
-         shard.lru.size() > 1) {
-    const Key victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.entries.erase(victim);
-    unpinned_count_.fetch_sub(1, std::memory_order_relaxed);
-    ++shard.stats.evictions;
-    if (metrics_.evictions != nullptr) metrics_.evictions->Increment();
-  }
-}
-
-size_t DistanceIndex::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-DistanceIndex::Stats DistanceIndex::stats() const {
-  Stats out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.hits += shard.stats.hits;
-    out.misses += shard.stats.misses;
-    out.evictions += shard.stats.evictions;
-    out.race_drops += shard.stats.race_drops;
-    out.entries += shard.entries.size();
-    out.pinned += shard.entries.size() - shard.lru.size();
-  }
-  return out;
+  filled_[anchor] = 1;
+  return {row, targets_.size()};
 }
 
 }  // namespace ipqs

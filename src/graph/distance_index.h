@@ -1,15 +1,11 @@
 #ifndef IPQS_GRAPH_DISTANCE_INDEX_H_
 #define IPQS_GRAPH_DISTANCE_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
-#include "graph/shortest_path.h"
+#include "graph/anchor_points.h"
 #include "graph/walking_graph.h"
 #include "obs/metrics.h"
 
@@ -18,144 +14,50 @@ namespace ipqs {
 // Optional observability hooks for a DistanceIndex; any member may be null.
 struct DistanceIndexMetrics {
   obs::Counter* hits = nullptr;
-  obs::Counter* misses = nullptr;     // Lookups that had to run Dijkstra.
-  obs::Counter* evictions = nullptr;  // LRU evictions (pinned never evict).
-  // Misses that lost the insert race: another thread computed the same
-  // table first, so the loser's Dijkstra was wasted but the lookup was
-  // effectively served from cache.
-  obs::Counter* race_drops = nullptr;
+  obs::Counter* misses = nullptr;  // Lookups that filled their row.
 };
 
-// Shared, shard-locked LRU store of one-to-all network distance tables,
-// keyed by their (canonicalized) source location. Query serving repeatedly
-// needs distances from the same handful of sources — query points of a hot
-// panel, anchor points that arbitrary query locations canonicalize to,
-// reader positions — and each table costs a full Dijkstra to build; this
-// index computes each at most once and hands out shared ownership so
-// concurrent queries read one immutable table instead of rebuilding it.
+// The one distance structure kNN pruning reads: a flat anchors x targets
+// table of exact network distances, where the targets are fixed locations
+// (the readers, which are pinned for the life of a deployment). Every
+// uncertain region is a disc around a reader and a kNN query snaps to an
+// anchor on its edge, so row `a` — the distances from anchor `a` to every
+// target — is all Equation 6 needs.
 //
-// Canonicalization: offsets are clamped to [0, edge length], and a location
-// sitting exactly on a node is rewritten to (lowest-id incident edge,
-// endpoint offset) so the same physical point reached through different
-// edges shares one entry.
+// Row `a` holds OneToAllDistances(graph, anchor a).ToLocation(target t),
+// filled by one Dijkstra the first time the row is looked up: that lookup
+// counts as a miss, every later lookup of the row as a hit. Entries are
+// +inf for targets unreachable from the anchor.
 //
-// Concurrency: entries are sharded by key hash with one mutex per shard
-// (the ParticleCache recipe), so lookups from the inference thread pool
-// never serialize on a global lock. A miss runs Dijkstra OUTSIDE the shard
-// lock; two racing misses may both compute, and the loser's table is
-// dropped (correctness is unaffected — both computed identical tables).
-//
-// Capacity bounds the number of UNPINNED entries across ALL shards (a
-// global atomic count; eviction drains the inserting shard first and then
-// sweeps the others one lock at a time, so hot-key skew cannot hold a
-// multiple of the budget). Each shard always keeps its most recent
-// unpinned entry, so the hard bound is max(capacity, shard count); for
-// capacity >= 16 shards that is exactly `capacity`. Pin() entries (e.g.
-// every reader position, pinned at engine construction) never age out and
-// don't count against the budget.
+// Not thread-safe: lookups fill rows in place, so the index is read only
+// from the engine's calling thread (the serial query path and the
+// scheduler's pruning stage), never from inside a thread-pool task.
 class DistanceIndex {
  public:
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t evictions = 0;
-    // Subset of `misses` that lost the insert race to a concurrent miss for
-    // the same key; the table was already resident by the time the loser's
-    // Dijkstra finished.
-    int64_t race_drops = 0;
-    size_t entries = 0;
-    size_t pinned = 0;
-
-    // Fraction of lookups served by a resident table. A race-dropped miss
-    // was served by the winner's table, so it counts toward the numerator;
-    // without that term concurrent cold starts under-report the rate.
-    double HitRate() const {
-      const int64_t total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits + race_drops) / total;
-    }
   };
 
-  // `capacity` bounds the unpinned entries across all shards (at least one
-  // per shard is always allowed).
-  explicit DistanceIndex(const WalkingGraph* graph, size_t capacity = 256);
+  DistanceIndex(const WalkingGraph* graph, const AnchorPointIndex* anchors,
+                std::vector<GraphLocation> targets);
 
-  // Installs observability hooks. Not thread-safe: call before the index
-  // is shared across threads.
   void SetMetrics(const DistanceIndexMetrics& metrics) { metrics_ = metrics; }
 
-  // The distance table sourced at `source`, computed and cached on first
-  // use. The returned table outlives any later eviction (shared ownership).
-  std::shared_ptr<const OneToAllDistances> Lookup(const GraphLocation& source);
+  // Distances from anchor `anchor` to every target, indexed like the
+  // constructor's `targets`. Valid for the life of the index.
+  std::span<const double> Lookup(AnchorId anchor);
 
-  // Computes (if absent) and pins the table for `source`: pinned entries
-  // are never evicted. Counted as neither hit nor miss.
-  void Pin(const GraphLocation& source);
-
-  // The canonical key location for `source` (see class comment); exposed
-  // so callers can reason about which sources share an entry.
-  GraphLocation Canonicalize(const GraphLocation& source) const;
-
-  size_t size() const;
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
  private:
-  struct Key {
-    EdgeId edge = kInvalidId;
-    uint64_t offset_bits = 0;  // Bit pattern: exact-match keying.
-
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = static_cast<uint64_t>(k.edge) * 0x9e3779b97f4a7c15ULL;
-      h ^= k.offset_bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-  struct Entry {
-    std::shared_ptr<const OneToAllDistances> table;
-    bool pinned = false;
-    // Position in Shard::lru (unpinned entries only).
-    std::list<Key>::iterator lru_pos;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> entries;
-    std::list<Key> lru;  // Front = most recently used.
-    Stats stats;
-  };
-
-  static constexpr size_t kNumShards = 16;
-
-  static Key MakeKey(const GraphLocation& loc) {
-    Key key;
-    key.edge = loc.edge;
-    static_assert(sizeof(loc.offset) == sizeof(key.offset_bits));
-    std::memcpy(&key.offset_bits, &loc.offset, sizeof(key.offset_bits));
-    return key;
-  }
-  Shard& ShardFor(const Key& key) {
-    return shards_[KeyHash{}(key) % kNumShards];
-  }
-
-  // Inserts `table` under `key` if absent; bumps/evicts LRU state. Returns
-  // the resident table (the pre-existing one if a racing insert won).
-  std::shared_ptr<const OneToAllDistances> Insert(
-      const Key& key, std::shared_ptr<const OneToAllDistances> table,
-      bool pinned);
-
-  // Evicts `shard`'s LRU tail while the global unpinned count exceeds
-  // capacity, always leaving the shard its most recent unpinned entry.
-  // Caller holds shard.mu.
-  void EvictLocked(Shard& shard);
-
   const WalkingGraph* graph_;
-  const size_t capacity_;
-  // Unpinned entries across all shards; the eviction budget is global so
-  // hot-key skew in one shard can't inflate the footprint 16x.
-  std::atomic<size_t> unpinned_count_{0};
-  Shard shards_[kNumShards];
+  const AnchorPointIndex* anchors_;
+  std::vector<GraphLocation> targets_;
+  // table_[a * targets_.size() + t]; meaningful once filled_[a] is set.
+  std::vector<double> table_;
+  std::vector<char> filled_;
+  Stats stats_;
   DistanceIndexMetrics metrics_;
 };
 

@@ -130,78 +130,7 @@ double OneToAllDistances::ToLocation(const GraphLocation& loc) const {
 
 double NetworkDistance(const WalkingGraph& graph, const GraphLocation& from,
                        const GraphLocation& to) {
-  const Edge& te = graph.edge(to.edge);
-  // Best distance provable so far: the same-edge shortcut plus any settled
-  // target-endpoint route. Terms are the exact expressions LocationDistance
-  // evaluates, so the early exit cannot change the result bit-wise.
-  double best = kInf;
-  if (from.edge == to.edge) {
-    best = std::fabs(from.offset - to.offset);
-  }
-
-  std::vector<double> dist(graph.num_nodes(), kInf);
-  std::vector<char> settled(graph.num_nodes(), 0);
-  const Edge& fe = graph.edge(from.edge);
-  MinQueue queue;
-  dist[fe.a] = from.offset;
-  dist[fe.b] = fe.length - from.offset;
-  queue.push({dist[fe.a], fe.a});
-  queue.push({dist[fe.b], fe.b});
-
-  while (!queue.empty()) {
-    const QueueEntry top = queue.top();
-    queue.pop();
-    if (top.dist > dist[top.node]) {
-      continue;  // Stale entry.
-    }
-    if (top.dist >= best) {
-      break;  // Every remaining route is at least `best` long already.
-    }
-    settled[top.node] = 1;
-    if (top.node == te.a) {
-      best = std::min(best, dist[te.a] + to.offset);
-    }
-    if (top.node == te.b) {
-      best = std::min(best, dist[te.b] + (te.length - to.offset));
-    }
-    if (settled[te.a] && settled[te.b]) {
-      break;  // Both routes into the target edge are final.
-    }
-    for (EdgeId eid : graph.node(top.node).edges) {
-      const Edge& out = graph.edge(eid);
-      const NodeId next = out.a == top.node ? out.b : out.a;
-      const double cand = top.dist + out.length;
-      if (cand < dist[next]) {
-        dist[next] = cand;
-        queue.push({cand, next});
-      }
-    }
-  }
-  return best;
-}
-
-GraphLocation CanonicalSourceLocation(const WalkingGraph& graph,
-                                      const GraphLocation& source) {
-  GraphLocation loc = source;
-  const Edge& e = graph.edge(loc.edge);
-  loc.offset = std::clamp(loc.offset, 0.0, e.length);
-  // A location exactly on a node is reachable through every incident edge;
-  // rewrite it to the lowest incident edge id so all spellings agree.
-  NodeId node = kInvalidId;
-  if (loc.offset == 0.0) {
-    node = e.a;
-  } else if (loc.offset == e.length) {
-    node = e.b;
-  }
-  if (node != kInvalidId) {
-    EdgeId lowest = loc.edge;
-    for (EdgeId eid : graph.node(node).edges) {
-      lowest = std::min(lowest, eid);
-    }
-    loc.edge = lowest;
-    loc.offset = graph.OffsetOfNode(lowest, node);
-  }
-  return loc;
+  return OneToAllDistances(graph, from).ToLocation(to);
 }
 
 StatusOr<Path> FindShortestPath(const WalkingGraph& graph,

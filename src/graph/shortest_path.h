@@ -73,23 +73,10 @@ class OneToAllDistances {
   std::vector<double> node_dist_;
 };
 
-// Convenience one-shot distance between two locations. Runs an early-exit
-// Dijkstra that stops once both endpoints of the target edge are settled
-// (or the frontier can no longer beat the best distance found), instead of
-// materializing a full one-to-all table; the result is identical to
-// OneToAllDistances(graph, from).ToLocation(to) bit for bit.
+// Convenience one-shot distance between two locations:
+// OneToAllDistances(graph, from).ToLocation(to).
 double NetworkDistance(const WalkingGraph& graph, const GraphLocation& from,
                        const GraphLocation& to);
-
-// Canonical spelling of a source location: the offset is clamped to
-// [0, edge length], and a location sitting exactly on a node is rewritten
-// to (lowest-id incident edge, endpoint offset) so the same physical point
-// reached through different edges compares equal. Both the DistanceIndex
-// (cache keys) and the DistanceOracle (pinned-matrix sources) canonicalize
-// through this one function, which is what keeps their distance values
-// bit-identical for the same physical source.
-GraphLocation CanonicalSourceLocation(const WalkingGraph& graph,
-                                      const GraphLocation& source);
 
 // Shortest path between two locations. Returns a leg-less path anchored at
 // `from` when from == to. Fails only if the graph is disconnected between

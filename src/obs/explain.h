@@ -54,8 +54,8 @@ struct QueryExplain {
   double est_reduced_cost = -1.0;
 
   // ---- Distance-index provenance (kNN pruning) ------------------------
-  int64_t dindex_hits = 0;    // Shared-table lookups served from the LRU.
-  int64_t dindex_misses = 0;  // Lookups that ran a fresh Dijkstra.
+  int64_t dindex_hits = 0;    // Anchor-row lookups already filled.
+  int64_t dindex_misses = 0;  // Lookups that filled their row (Dijkstra).
   double dindex_slack = -1.0; // Query-to-anchor slack widening the pruning
                               // intervals; -1 = index not consulted.
 

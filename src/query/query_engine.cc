@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "graph/shortest_path.h"
 
 namespace {
 
@@ -24,6 +23,18 @@ std::vector<ipqs::ObjectId> Canonicalize(
 }  // namespace
 
 namespace ipqs {
+namespace {
+
+std::vector<GraphLocation> ReaderLocations(const Deployment& deployment) {
+  std::vector<GraphLocation> locs;
+  locs.reserve(deployment.num_readers());
+  for (ReaderId r = 0; r < deployment.num_readers(); ++r) {
+    locs.push_back(deployment.reader(r).loc);
+  }
+  return locs;
+}
+
+}  // namespace
 
 QueryEngine::QueryEngine(const WalkingGraph* graph, const FloorPlan* plan,
                          const AnchorPointIndex* anchors,
@@ -42,7 +53,8 @@ QueryEngine::QueryEngine(const WalkingGraph* graph, const FloorPlan* plan,
       symbolic_(anchors, anchor_graph, deployment, deployment_graph,
                 config.symbolic),
       range_eval_(plan, anchors),
-      knn_eval_(graph, anchors, anchor_graph) {
+      knn_eval_(graph, anchors, anchor_graph),
+      dindex_(graph, anchors, ReaderLocations(*deployment)) {
   IPQS_CHECK(collector != nullptr);
   IPQS_CHECK_GE(config.num_threads, 0);
   if (config.degrade.reduced_particles >= 1) {
@@ -57,33 +69,7 @@ QueryEngine::QueryEngine(const WalkingGraph* graph, const FloorPlan* plan,
   if (degraded_filter_ != nullptr) {
     degraded_filter_->SetSilenceTrust(&silence_trust_);
   }
-  if (config.use_distance_index) {
-    dindex_ = std::make_unique<DistanceIndex>(graph,
-                                              config.distance_index_capacity);
-  }
-  if (config.use_distance_oracle) {
-    DistanceOracleConfig oracle_config;
-    oracle_config.num_landmarks = std::max(config.oracle_landmarks, 1);
-    oracle_ = std::make_unique<DistanceOracle>(graph, oracle_config);
-  }
   InitObservability();
-  if (dindex_ != nullptr) {
-    // Every uncertain-region interval measures to a reader position, so
-    // those tables are the hottest by far: precompute and pin them now.
-    for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
-      dindex_->Pin(deployment->reader(r).loc);
-    }
-  }
-  if (oracle_ != nullptr) {
-    // Readers are pinned and static for the life of a deployment, so the
-    // anchor-to-reader matrix is computed once here and never invalidated.
-    std::vector<GraphLocation> reader_locs;
-    reader_locs.reserve(deployment->num_readers());
-    for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
-      reader_locs.push_back(deployment->reader(r).loc);
-    }
-    oracle_->BuildPinnedMatrix(*anchors_, reader_locs);
-  }
 }
 
 void QueryEngine::InitObservability() {
@@ -134,27 +120,10 @@ void QueryEngine::InitObservability() {
   filter_metrics.reseeds = metrics_->GetCounter(p + ".filter.reseed_total");
   filter_.SetMetrics(filter_metrics);
 
-  if (dindex_ != nullptr) {
-    DistanceIndexMetrics dindex_metrics;
-    dindex_metrics.hits = metrics_->GetCounter(p + ".dindex.hits");
-    dindex_metrics.misses = metrics_->GetCounter(p + ".dindex.misses");
-    dindex_metrics.evictions = metrics_->GetCounter(p + ".dindex.evictions");
-    dindex_metrics.race_drops = metrics_->GetCounter(p + ".dindex.race_drops");
-    dindex_->SetMetrics(dindex_metrics);
-  }
-
-  if (oracle_ != nullptr) {
-    DistanceOracleMetrics oracle_metrics;
-    oracle_metrics.matrix_lookups =
-        metrics_->GetCounter(p + ".oracle.matrix_lookups");
-    oracle_metrics.matrix_fallbacks =
-        metrics_->GetCounter(p + ".oracle.matrix_fallbacks");
-    oracle_metrics.p2p_queries =
-        metrics_->GetCounter(p + ".oracle.p2p_queries");
-    oracle_metrics.bound_queries =
-        metrics_->GetCounter(p + ".oracle.bound_queries");
-    oracle_->SetMetrics(oracle_metrics);
-  }
+  DistanceIndexMetrics dindex_metrics;
+  dindex_metrics.hits = metrics_->GetCounter(p + ".dindex.hits");
+  dindex_metrics.misses = metrics_->GetCounter(p + ".dindex.misses");
+  dindex_.SetMetrics(dindex_metrics);
 
   CacheMetrics cache_metrics;
   cache_metrics.hits = metrics_->GetCounter(p + ".cache.hits");
@@ -366,8 +335,7 @@ QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now,
       candidates = collector_->KnownObjects();
     }
   }
-  const int64_t known =
-      static_cast<int64_t>(collector_->KnownObjects().size());
+  const int64_t known = static_cast<int64_t>(collector_->num_known_objects());
   counters_.objects_considered->Increment(known);
 
   // See EvaluateKnn: restricting evaluation to this query's candidates
@@ -478,8 +446,7 @@ KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
       candidates = collector_->KnownObjects();
     }
   }
-  const int64_t known =
-      static_cast<int64_t>(collector_->KnownObjects().size());
+  const int64_t known = static_cast<int64_t>(collector_->num_known_objects());
   counters_.objects_considered->Increment(known);
 
   // Evaluation is restricted to this query's own candidate set, so the
@@ -558,45 +525,14 @@ KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
 }
 
 SourceDistances QueryEngine::DistancesFor(const GraphLocation& query) {
-  if (oracle_ != nullptr) {
-    const AnchorId aid = anchors_->NearestOnEdge(query);
-    const AnchorPoint& a = anchors_->anchor(aid);
-    SourceDistances out;
-    // The along-edge offset gap is a network path between query and source,
-    // so it upper-bounds their network distance — the slack pruning needs.
-    out.slack = std::fabs(query.offset - a.offset);
-    const int num_readers = deployment_->num_readers();
-    out.to_reader.reserve(num_readers);
-    if (const double* row = oracle_->PinnedRow(aid)) {
-      // Matrix rows hold the same doubles a DistanceIndex table lookup
-      // would produce, so lower == upper keeps pruning byte-identical to
-      // the index path.
-      for (int r = 0; r < num_readers; ++r) {
-        out.to_reader.push_back(SourceDistances::Bound{row[r], row[r]});
-      }
-      return out;
-    }
-    // No matrix (e.g. a deployment with zero readers built no rows):
-    // landmark bounds still make pruning sound, just looser.
-    const GraphLocation source{a.edge, a.offset};
-    for (ReaderId r = 0; r < num_readers; ++r) {
-      const DistanceOracle::Bound b =
-          oracle_->Bounds(source, deployment_->reader(r).loc);
-      out.to_reader.push_back(SourceDistances::Bound{b.lower, b.upper});
-    }
-    return out;
-  }
-  if (dindex_ != nullptr) {
-    const AnchorPoint& a = anchors_->anchor(anchors_->NearestOnEdge(query));
-    GraphLocation source;
-    source.edge = a.edge;
-    source.offset = a.offset;
-    return SourceDistances::FromTable(*dindex_->Lookup(source),
-                                      std::fabs(query.offset - a.offset),
-                                      *deployment_);
-  }
-  return SourceDistances::FromTable(OneToAllDistances(*graph_, query),
-                                    /*source_slack=*/0.0, *deployment_);
+  const AnchorId aid = anchors_->NearestOnEdge(query);
+  const std::span<const double> row = dindex_.Lookup(aid);
+  SourceDistances out;
+  out.to_reader.assign(row.begin(), row.end());
+  // The along-edge offset gap is a network path between the query and the
+  // anchor, so it bounds their network distance — the slack pruning needs.
+  out.slack = std::fabs(query.offset - anchors_->anchor(aid).offset);
+  return out;
 }
 
 QueryEngine::InferPlan QueryEngine::PlanInference(

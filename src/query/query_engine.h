@@ -12,7 +12,6 @@
 #include "filter/particle_cache.h"
 #include "filter/particle_filter.h"
 #include "graph/distance_index.h"
-#include "graph/distance_oracle.h"
 #include "health/reader_health.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -67,26 +66,6 @@ struct EngineConfig {
   double max_speed = 1.5;
   bool use_pruning = true;  // Query aware optimization module on/off.
   bool use_cache = true;    // Cache management module on/off (PF only).
-  // Distance index (query serving layer): kNN pruning reads a shared,
-  // LRU-cached one-to-all table sourced at the anchor point the query
-  // location canonicalizes to (reader positions are pinned eagerly),
-  // instead of running a fresh Dijkstra per query. Pruning intervals are
-  // widened by the query-to-anchor slack, so candidate sets are a sound
-  // superset of the exact ones (usually identical: panel query points sit
-  // on anchors, making the slack 0). Off = the exact per-query Dijkstra.
-  bool use_distance_index = true;
-  size_t distance_index_capacity = 256;  // Unpinned LRU entries.
-  // Distance oracle (preprocessing mode, src/graph/distance_oracle.h):
-  // ALT landmark tables plus a dense anchor-to-reader matrix built at
-  // construction, so kNN pruning bounds become pure array lookups with no
-  // per-query Dijkstra and no LRU to thrash. Takes precedence over the
-  // distance index when both are enabled. Matrix rows are computed through
-  // the same canonicalized one-to-all evaluation the index caches, so
-  // answers are byte-identical across all three modes (exact / index /
-  // oracle). Worth the preprocessing cost on large graphs; see
-  // bench/micro_oracle for the crossover.
-  bool use_distance_oracle = false;
-  int oracle_landmarks = 16;
   uint64_t seed = 7;
   // Fan-out width for batch inference (EvaluateRange / EvaluateKnn /
   // InferBatch): per-object filter runs are spread over this many worker
@@ -197,13 +176,8 @@ class QueryEngine {
   EngineStats stats() const;
   DegradeStats degrade_stats() const;
   ParticleCache::Stats cache_stats() const { return cache_.stats(); }
-  // Zero stats when the distance index is disabled.
   DistanceIndex::Stats distance_index_stats() const {
-    return dindex_ == nullptr ? DistanceIndex::Stats{} : dindex_->stats();
-  }
-  // Zero stats when the distance oracle is disabled.
-  DistanceOracle::Stats distance_oracle_stats() const {
-    return oracle_ == nullptr ? DistanceOracle::Stats{} : oracle_->stats();
+    return dindex_.stats();
   }
   void ResetStats();
 
@@ -347,15 +321,10 @@ class QueryEngine {
                          const SourceDistances& dists, int k,
                          int64_t now) const;
 
-  // The per-reader distance bounds a kNN query's pruning reads (see
-  // SourceDistances in query/uncertain_region.h), with the slack bounding
-  // the network distance between the bounds' source and the query point.
-  // Oracle on: one pinned-matrix row (exact, no Dijkstra at all). Index
-  // on: the shared table sourced at the anchor the query's edge
-  // canonicalizes to (slack = along-edge offset gap). Neither (or no
-  // same-edge anchor): an exact private Dijkstra at the query, slack 0.
-  // All three fill identical doubles for covered queries, which is what
-  // keeps answers byte-identical across modes.
+  // The per-reader distances a kNN query's pruning reads (see
+  // SourceDistances in query/uncertain_region.h): the DistanceIndex row of
+  // the anchor nearest the query on its edge, with the along-edge offset
+  // gap between query and anchor as the slack. Calling thread only.
   SourceDistances DistancesFor(const GraphLocation& query);
 
   const WalkingGraph* graph_;
@@ -375,15 +344,8 @@ class QueryEngine {
   ParticleCache cache_;
   RangeQueryEvaluator range_eval_;
   KnnQueryEvaluator knn_eval_;
-  // Shared distance tables for kNN pruning (null when
-  // config.use_distance_index is false). Reader locations are pinned at
-  // construction; anchor entries populate on demand.
-  std::unique_ptr<DistanceIndex> dindex_;
-  // Preprocessed distance oracle (null when config.use_distance_oracle is
-  // false): landmark tables plus the anchor-to-reader matrix, both built
-  // once at construction. When present it takes precedence over dindex_
-  // in DistancesFor.
-  std::unique_ptr<DistanceOracle> oracle_;
+  // Anchor-to-reader distances for kNN pruning; rows fill on first use.
+  DistanceIndex dindex_;
 
   AnchorObjectTable table_;
   int64_t table_time_ = -1;

@@ -111,7 +111,7 @@ std::vector<BatchAnswer> QueryScheduler::EvaluateBatch(
   // Stage 2: per-distinct-query pruning, exactly the serial path's.
   const EngineConfig& cfg = engine_->config_;
   const int64_t known =
-      static_cast<int64_t>(engine_->collector_->KnownObjects().size());
+      static_cast<int64_t>(engine_->collector_->num_known_objects());
   for (Distinct& d : distinct) {
     const BatchQuery& q = batch[d.first_index];
     engine_->counters_.objects_considered->Increment(known);

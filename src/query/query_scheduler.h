@@ -45,7 +45,7 @@ struct BatchAnswer {
 // state on top of the batch (the SubscriptionManager): the canonical
 // candidate set the slot's answer was restricted to, and — for kNN with
 // pruning on — the snapped query location plus the per-reader distance
-// bounds and slack its pruning read. `dists` is empty for range queries
+// distances and slack its pruning read. `dists` is empty for range queries
 // and whenever pruning was off.
 struct BatchSlotDetail {
   std::vector<ObjectId> candidates;

@@ -165,19 +165,16 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
     } else {
       if (!std::isfinite(sub.f) || sub.dists.empty()) {
         // Pruning was degenerate at the last evaluation (entries <= k, or
-        // no distance bounds): there is no f-bound to test against.
+        // no distances): there is no f-bound to test against.
         return false;
       }
       const Reader& r = deployment.reader(last.reader);
-      // Lower bound keeps s_now conservative (an interval backend may
-      // under-estimate the true distance, never over-estimate s). An
-      // unreachable reader reads {inf, inf}: s_now stays inf, which never
-      // dips under a finite f_now — correct, the object can never arrive.
-      const SourceDistances::Bound& b = sub.dists.to_reader[last.reader];
+      // An unreachable reader reads inf: s_now stays inf, which never dips
+      // under a finite f_now — correct, the object can never arrive.
+      const double d = sub.dists.to_reader[last.reader];
       const double radius =
           u * static_cast<double>(now - last.time) + r.range;
-      const double s_now =
-          std::max(0.0, b.lower - (radius + sub.dists.slack));
+      const double s_now = std::max(0.0, d - (radius + sub.dists.slack));
       // While the subscription is clean, the exact pruning bound at `now`
       // is f + u * (now - last_eval): the k supporting objects are
       // unchanged candidates whose l-bounds all grew by exactly u per
@@ -192,7 +189,7 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
         // s_j(t) falls at rate u while f(t) grows at rate u; they cross at
         // t_cross — re-evaluate before then.
         const double t_cross =
-            (b.lower - r.range - sub.dists.slack - sub.f +
+            (d - r.range - sub.dists.slack - sub.f +
              u * static_cast<double>(last.time + sub.last_eval)) /
             (2.0 * u);
         sub.next_expand =
@@ -302,12 +299,9 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
     } else if (!sub.dists.empty()) {
       // Recompute the pruning bound f exactly as FilterKnnCandidates did
       // for this evaluation (k-th smallest l over every known object).
-      // Interval soundness: l is built from the upper bound (f can only
-      // over-shoot the exact bound, dirtying early), s and t_cross from
-      // the lower bound (crossings predicted early, never late).
       struct Bounds {
         ObjectId object;
-        double lower;  // Query→reader network-distance lower bound.
+        double d;  // Query→reader network distance.
         double l;
         int64_t t_last;
       };
@@ -319,11 +313,11 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
         }
         const AggregatedEntry last = h->entries.back();
         const Reader& r = deployment.reader(last.reader);
-        const SourceDistances::Bound& b = sub.dists.to_reader[last.reader];
+        const double d = sub.dists.to_reader[last.reader];
         const double radius =
             u * static_cast<double>(now - last.time) + r.range;
         const double pad = radius + sub.dists.slack;
-        bounds.push_back({o, b.lower, b.upper + pad, last.time});
+        bounds.push_back({o, d, d + pad, last.time});
       }
       if (static_cast<int>(bounds.size()) > sub.query.k) {
         std::vector<double> max_dists;
@@ -342,13 +336,13 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
                                  b.object)) {
             continue;
           }
-          if (!std::isfinite(b.lower)) {
+          if (!std::isfinite(b.d)) {
             continue;  // Unreachable reader: s_j stays inf forever.
           }
           const Reader& r = deployment.reader(
               collector.History(b.object)->entries.back().reader);
           const double t_cross =
-              (b.lower - r.range - sub.dists.slack - sub.f +
+              (b.d - r.range - sub.dists.slack - sub.f +
                u * static_cast<double>(b.t_last + now)) /
               (2.0 * u);
           next = std::min(next, t_cross);

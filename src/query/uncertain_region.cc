@@ -21,28 +21,6 @@ UncertainRegion ComputeUncertainRegion(const Deployment& deployment,
   return ur;
 }
 
-DistanceInterval NetworkDistanceInterval(const OneToAllDistances& from_query,
-                                         const Deployment& deployment,
-                                         const UncertainRegion& region) {
-  const double to_reader =
-      from_query.ToLocation(deployment.reader(region.reader).loc);
-  return DistanceInterval{std::max(0.0, to_reader - region.radius),
-                          to_reader + region.radius};
-}
-
-DistanceInterval NetworkDistanceInterval(const OneToAllDistances& from_source,
-                                         double source_slack,
-                                         const Deployment& deployment,
-                                         const UncertainRegion& region) {
-  const double to_reader =
-      from_source.ToLocation(deployment.reader(region.reader).loc);
-  // True distance from the query is within source_slack of `to_reader`
-  // (triangle inequality through the table source), so widening by it
-  // keeps the interval a superset of the exact [s_i, l_i].
-  const double pad = region.radius + source_slack;
-  return DistanceInterval{std::max(0.0, to_reader - pad), to_reader + pad};
-}
-
 SourceDistances SourceDistances::FromTable(const OneToAllDistances& table,
                                            double source_slack,
                                            const Deployment& deployment) {
@@ -50,20 +28,21 @@ SourceDistances SourceDistances::FromTable(const OneToAllDistances& table,
   out.slack = source_slack;
   out.to_reader.reserve(deployment.num_readers());
   for (ReaderId r = 0; r < deployment.num_readers(); ++r) {
-    const double d = table.ToLocation(deployment.reader(r).loc);
-    out.to_reader.push_back(Bound{d, d});
+    out.to_reader.push_back(table.ToLocation(deployment.reader(r).loc));
   }
   return out;
 }
 
 DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
                                          const UncertainRegion& region) {
-  const SourceDistances::Bound& b = dists.to_reader[region.reader];
+  const double d = dists.to_reader[region.reader];
+  // The true distance from the query is within dists.slack of `d`
+  // (triangle inequality through the source), so widening by it keeps the
+  // interval a superset of the exact [s_i, l_i]. An unreachable reader
+  // (d = inf) yields {inf, inf}: the object can never be proven near, and
+  // inf - pad stays inf (never NaN, since pad is finite).
   const double pad = region.radius + dists.slack;
-  // An unreachable reader (b = {inf, inf}) yields {inf, inf}: the object
-  // can never be proven near, and inf - pad stays inf (never NaN, since
-  // pad is finite).
-  return DistanceInterval{std::max(0.0, b.lower - pad), b.upper + pad};
+  return DistanceInterval{std::max(0.0, d - pad), d + pad};
 }
 
 std::vector<ObjectId> FilterRangeCandidates(
@@ -85,27 +64,6 @@ std::vector<ObjectId> FilterRangeCandidates(
     }
   }
   return candidates;
-}
-
-std::vector<ObjectId> FilterKnnCandidates(const WalkingGraph& graph,
-                                          const DataCollector& collector,
-                                          const Deployment& deployment,
-                                          const GraphLocation& query, int k,
-                                          int64_t now, double max_speed) {
-  const OneToAllDistances from_query(graph, query);
-  return FilterKnnCandidates(collector, deployment, from_query,
-                             /*source_slack=*/0.0, k, now, max_speed);
-}
-
-std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
-                                          const Deployment& deployment,
-                                          const OneToAllDistances& from_source,
-                                          double source_slack, int k,
-                                          int64_t now, double max_speed) {
-  return FilterKnnCandidates(
-      collector, deployment,
-      SourceDistances::FromTable(from_source, source_slack, deployment), k,
-      now, max_speed);
 }
 
 std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,

@@ -212,8 +212,10 @@ class DataCollector {
   // Most recent detection of `object`, if any.
   std::optional<AggregatedEntry> LastReading(ObjectId object) const;
 
-  // All objects with at least one detection.
+  // All objects with at least one detection, ascending.
   std::vector<ObjectId> KnownObjects() const;
+  // KnownObjects().size(), without building the list.
+  size_t num_known_objects() const { return histories_.size(); }
 
   // ENTER/LEAVE event log (recorded only when enabled; off by default to
   // keep long simulations lean).

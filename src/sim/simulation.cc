@@ -113,8 +113,6 @@ Status Simulation::Init() {
   pf_config.max_speed = config_.max_speed;
   pf_config.use_pruning = config_.use_pruning;
   pf_config.use_cache = config_.use_cache;
-  pf_config.use_distance_index = config_.use_distance_index;
-  pf_config.use_distance_oracle = config_.use_distance_oracle;
   pf_config.num_threads = config_.num_threads;
   pf_config.deadline_ms = config_.deadline_ms;
   pf_config.degrade = config_.degrade;

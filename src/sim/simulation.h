@@ -44,13 +44,6 @@ struct SimulationConfig {
   double max_speed = 1.5;         // u_max for pruning & symbolic model.
   bool use_pruning = true;
   bool use_cache = true;
-  // Shared distance tables for kNN pruning in both engines (see
-  // EngineConfig::use_distance_index); off = exact per-query Dijkstra.
-  bool use_distance_index = true;
-  // Preprocessed distance oracle for kNN pruning in both engines (see
-  // EngineConfig::use_distance_oracle); answers stay byte-identical in
-  // every mode, only the pruning work changes.
-  bool use_distance_oracle = false;
   // Fan-out width for per-object inference in both engines (see
   // EngineConfig::num_threads); answers are independent of this knob.
   int num_threads = 1;

@@ -454,7 +454,7 @@ TEST_P(ChannelSweep, SystemSurvivesChannelAtHighIntensity) {
   auto sim = Simulation::Create(config).value();
   sim->Run(240);
   EXPECT_GT(sim->fault_stats().injected, 0) << c.name;
-  ASSERT_GT(sim->collector().KnownObjects().size(), 0u) << c.name;
+  ASSERT_GT(sim->collector().num_known_objects(), 0u) << c.name;
   for (ObjectId id : sim->collector().KnownObjects()) {
     const AnchorDistribution* dist =
         sim->pf_engine().InferObject(id, sim->now());

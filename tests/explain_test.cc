@@ -81,7 +81,7 @@ TEST(ExplainTest, NoDeadlineExplainsFullService) {
   // Not every tag has necessarily been read by t=60; the record reports
   // the collector's real census, whatever it is.
   EXPECT_EQ(e.objects_known,
-            static_cast<int64_t>(sim->collector().KnownObjects().size()));
+            static_cast<int64_t>(sim->collector().num_known_objects()));
   EXPECT_GT(e.objects_known, 0);
   // Pruning off: every known object is a candidate, every candidate's
   // cache state was probed, and the cold cache missed all of them.

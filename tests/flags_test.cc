@@ -78,7 +78,7 @@ reader 32 0 2
   EXPECT_EQ((*sim)->plan().rooms().size(), 2u);
 
   (*sim)->Run(200);
-  EXPECT_GT((*sim)->collector().KnownObjects().size(), 0u);
+  EXPECT_GT((*sim)->collector().num_known_objects(), 0u);
   for (ObjectId id : (*sim)->collector().KnownObjects()) {
     const AnchorDistribution* dist =
         (*sim)->pf_engine().InferObject(id, (*sim)->now());

@@ -167,9 +167,8 @@ TEST(ShortestPathTest, OneToAllMatchesOneShot) {
 }
 
 TEST(ShortestPathTest, EarlyExitMatchesFullTableOnOfficePlan) {
-  // NetworkDistance() stops its Dijkstra as soon as the target edge's
-  // endpoints are settled; regression-pin that this early exit returns
-  // the exact same doubles as the full one-to-all table.
+  // Pin that the one-shot NetworkDistance() returns the exact same doubles
+  // as the full one-to-all table.
   auto plan = GenerateOffice(OfficeConfig{});
   ASSERT_TRUE(plan.ok());
   auto graph = BuildWalkingGraph(*plan);

@@ -179,7 +179,7 @@ TEST(PruningEffectiveness, PruningShrinksCandidateSets) {
   const auto candidates =
       FilterRangeCandidates(sim->collector(), sim->deployment(), {window},
                             sim->now(), config.max_speed);
-  EXPECT_LT(candidates.size(), sim->collector().KnownObjects().size());
+  EXPECT_LT(candidates.size(), sim->collector().num_known_objects());
 }
 
 TEST(CacheConsistency, CachedEngineMatchesAccuracyOfUncached) {
@@ -299,7 +299,7 @@ TEST_P(ActivationRangeSweep, DeploymentAndFilteringWorkAtAnyRange) {
   config.seed = 43;
   auto sim = Simulation::Create(config).value();
   sim->Run(240);
-  ASSERT_GT(sim->collector().KnownObjects().size(), 0u);
+  ASSERT_GT(sim->collector().num_known_objects(), 0u);
   for (ObjectId id : sim->collector().KnownObjects()) {
     const AnchorDistribution* dist =
         sim->pf_engine().InferObject(id, sim->now());

@@ -123,7 +123,7 @@ TEST_P(PropertyFixture, KnnMassReachesKWhenPossible) {
   const int64_t now = sim_->now();
   // Total available mass = number of tracked objects.
   const double available =
-      static_cast<double>(sim_->collector().KnownObjects().size());
+      static_cast<double>(sim_->collector().num_known_objects());
   const Point q = sim_->deployment().reader(3).pos;
   for (int k : {1, 3, 8}) {
     const KnnResult res = sim_->pf_engine().EvaluateKnn(q, k, now);

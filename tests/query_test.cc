@@ -28,6 +28,12 @@ class QueryFixture : public ::testing::Test {
         DeploymentGraph::Build(*anchors_, *anchor_graph_, deployment_));
   }
 
+  // Exact per-reader distances from `q` (the pruning reference).
+  SourceDistances ExactFrom(const GraphLocation& q) const {
+    return SourceDistances::FromTable(OneToAllDistances(graph_, q), 0.0,
+                                      deployment_);
+  }
+
   // Puts the whole unit mass of `object` on the anchor nearest to `p`.
   void PlaceObjectAt(AnchorObjectTable* table, ObjectId object,
                      const Point& p) {
@@ -89,7 +95,8 @@ TEST_F(QueryFixture, NetworkDistanceIntervalBracketsTruth) {
   const OneToAllDistances from_q(graph_, q);
   const AggregatedEntry last{100, 7};
   const auto ur = ComputeUncertainRegion(deployment_, 1, last, 105, 1.5);
-  const auto interval = NetworkDistanceInterval(from_q, deployment_, ur);
+  const auto interval = NetworkDistanceInterval(
+      SourceDistances::FromTable(from_q, 0.0, deployment_), ur);
   EXPECT_GE(interval.min_dist, 0.0);
   EXPECT_GE(interval.max_dist, interval.min_dist);
   const double center_dist = from_q.ToLocation(deployment_.reader(7).loc);
@@ -129,7 +136,7 @@ TEST_F(QueryFixture, KnnCandidatesRespectPruningRule) {
 
   const GraphLocation q = deployment_.reader(0).loc;
   const auto candidates =
-      FilterKnnCandidates(graph_, collector, deployment_, q, 1, 101, 1.5);
+      FilterKnnCandidates(collector, deployment_, ExactFrom(q), 1, 101, 1.5);
   // Object 1 must survive; the farthest object must be pruned.
   EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), 1) !=
               candidates.end());
@@ -141,8 +148,9 @@ TEST_F(QueryFixture, KnnCandidatesNeverPruneBelowK) {
   DataCollector collector;
   collector.Observe({1, 0, 100});
   collector.Observe({2, 5, 100});
-  const auto candidates = FilterKnnCandidates(
-      graph_, collector, deployment_, deployment_.reader(0).loc, 5, 101, 1.5);
+  const auto candidates =
+      FilterKnnCandidates(collector, deployment_,
+                          ExactFrom(deployment_.reader(0).loc), 5, 101, 1.5);
   EXPECT_EQ(candidates.size(), 2u);  // Fewer objects than k: keep all.
 }
 
@@ -200,8 +208,8 @@ TEST_F(QueryFixture, KnnPruningKeepsTrueNeighbors) {
   }
   const GraphLocation q = deployment_.reader(4).loc;
   for (int k = 1; k <= 3; ++k) {
-    const auto candidates = FilterKnnCandidates(graph_, collector,
-                                                deployment_, q, k, 103, 1.5);
+    const auto candidates = FilterKnnCandidates(collector, deployment_,
+                                                ExactFrom(q), k, 103, 1.5);
     // Object 4 was last seen AT the query point: it is the closest
     // possible object and must be a candidate.
     EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), 4) !=

@@ -76,7 +76,7 @@ TEST_F(SimFixture, ObjectsRespectSpeedLimit) {
 
 TEST_F(SimFixture, ReadingsFlowIntoCollector) {
   sim_->Run(180);
-  EXPECT_GT(sim_->collector().KnownObjects().size(), 5u);
+  EXPECT_GT(sim_->collector().num_known_objects(), 5u);
   EXPECT_GT(sim_->reading_stats().detections, 0);
   // The sensing model's miss rate should be near its analytic value.
   const double expected_miss =

@@ -101,27 +101,11 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"<engine>.cache.evictions", "Entries evicted by capacity pressure."},
       {"<engine>.cache.served_stale",
        "Probes answered with a stale (non-resumable but recent) state."},
-      // Shared kNN distance index.
+      // Anchor-to-reader distance table for kNN pruning.
       {"<engine>.dindex.hits",
-       "kNN distance-table lookups served from the shared index."},
+       "kNN pruning lookups served by an already filled anchor row."},
       {"<engine>.dindex.misses",
-       "Lookups that had to run a fresh Dijkstra."},
-      {"<engine>.dindex.evictions", "Distance tables evicted by capacity."},
-      {"<engine>.dindex.race_drops",
-       "Lookups that missed, computed a table, and found another thread's "
-       "insert already resident (the work was redundant, not wasted cache "
-       "space)."},
-      // Preprocessed distance oracle (registered when use_distance_oracle
-      // is on).
-      {"<engine>.oracle.matrix_lookups",
-       "kNN prunings served from the pinned reader↔anchor matrix."},
-      {"<engine>.oracle.matrix_fallbacks",
-       "kNN prunings that fell back to landmark bounds (anchor outside "
-       "the pinned matrix)."},
-      {"<engine>.oracle.p2p_queries",
-       "Goal-directed ALT point-to-point distance queries answered."},
-      {"<engine>.oracle.bound_queries",
-       "Landmark lower/upper bound evaluations."},
+       "Lookups that filled their anchor row (one Dijkstra each)."},
       // Worker pool (registered when num_threads > 0).
       {"<engine>.pool.tasks", "Per-object inference tasks executed."},
       {"<engine>.pool.steals", "Tasks stolen across worker queues."},
@@ -210,7 +194,6 @@ bool RegisterEverything(ipqs::obs::MetricsRegistry* registry) {
   config.faults.dropout_rate = 0.1;  // Fault metrics.
   config.collector.reorder_window_seconds = 2;
   config.num_subscriptions = 2;  // sub.* metrics (Step ticks the manager).
-  config.use_distance_oracle = true;  // oracle.* metrics.
   config.health.enabled = true;  // health.* metrics.
   config.health.warmup_seconds = 5;
   config.health.suspect_after_seconds = 3;

@@ -8,8 +8,7 @@
 //                  [--timestamps=50] [--windows=100] [--knn_points=30]
 //                  [--warmup=240] [--seed=42] [--threads=1]
 //                  [--pruning=true] [--cache=true] [--neg_info=false]
-//                  [--batch_queries=false] [--distance_index=true]
-//                  [--distance_oracle=false]
+//                  [--batch_queries=false]
 //                  [--subscriptions=0] [--sub_poll_interval=1]
 //                  [--sub_incremental=true]
 //                  [--hallway_stops=0.0] [--building=<file>]
@@ -38,11 +37,6 @@
 // one QueryScheduler batch per engine (shared pruning tables, one
 // inference pass over the union of candidates) — answers are
 // byte-identical to serial serving, only throughput changes.
-// --distance_index=false disables the shared kNN distance tables and
-// falls back to one exact Dijkstra per query. --distance_oracle=true
-// arms the preprocessed ALT distance oracle (landmark bounds plus a
-// pinned reader↔anchor matrix built at engine construction) for kNN
-// pruning instead — answers stay byte-identical in every mode.
 //
 // Standing queries (src/query/subscription.h): --subscriptions=N registers
 // N random range/kNN subscriptions against a dedicated engine and ticks
@@ -201,8 +195,6 @@ int main(int argc, char** argv) {
   }
   config.sim.use_pruning = flags.GetBool("pruning", true);
   config.sim.use_cache = flags.GetBool("cache", true);
-  config.sim.use_distance_index = flags.GetBool("distance_index", true);
-  config.sim.use_distance_oracle = flags.GetBool("distance_oracle", false);
   config.batch_queries = flags.GetBool("batch_queries", false);
   config.sim.num_subscriptions = flags.GetInt("subscriptions", 0);
   config.sim.sub_poll_interval_seconds = flags.GetInt("sub_poll_interval", 1);
@@ -331,7 +323,7 @@ int main(int argc, char** argv) {
         report.wal_records_replayed, report.replay_ns / 1e6,
         report.corrupt_snapshots_skipped, report.wal_tails_truncated);
     std::printf("known objects:        %zu\n",
-                s.collector().KnownObjects().size());
+                s.collector().num_known_objects());
 
     Rng& rng = s.query_rng();
     const int64_t now = s.now();
