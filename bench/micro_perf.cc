@@ -14,14 +14,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.h"
 #include "filter/resampler.h"
+#include "graph/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "query/uncertain_region.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -301,6 +304,96 @@ void BM_SimulationStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulationStep)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Candidate pruning over the collector's last-read index, per object count
+// (the argument). The index is current before timing starts, as it is for
+// every query after the first since the last ingested reading; what one
+// rebuild costs is BM_PruneIndexRebuild.
+
+Simulation& PruneWorld(int num_objects) {
+  static std::map<int, Simulation*> worlds;
+  Simulation*& world = worlds[num_objects];
+  if (world == nullptr) {
+    SimulationConfig config;
+    config.trace.num_objects = num_objects;
+    config.seed = 13;
+    if (g_metrics_enabled) {
+      config.metrics = &Registry();  // Timed by the observability gate too.
+    }
+    auto sim = Simulation::Create(config);
+    IPQS_CHECK(sim.ok());
+    world = sim->release();
+    world->Run(bench::FastMode() ? 60 : 120);
+  }
+  return *world;
+}
+
+void BM_PruneRange(benchmark::State& state) {
+  Simulation& sim = PruneWorld(static_cast<int>(state.range(0)));
+  Rng rng(14);
+  std::vector<Rect> windows;
+  for (int i = 0; i < 64; ++i) {
+    windows.push_back(Experiment::RandomWindow(sim.plan(), 0.02, rng));
+  }
+  sim.collector().last_read_index();
+  size_t i = 0;
+  int64_t candidates = 0;
+  for (auto _ : state) {
+    const std::vector<ObjectId> c = FilterRangeCandidates(
+        sim.collector(), sim.deployment(), {windows[i++ % windows.size()]},
+        sim.now(), sim.config().max_speed);
+    benchmark::DoNotOptimize(c.data());
+    candidates += static_cast<int64_t>(c.size());
+  }
+  state.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PruneRange)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
+void BM_PruneKnn(benchmark::State& state) {
+  Simulation& sim = PruneWorld(static_cast<int>(state.range(0)));
+  Rng rng(15);
+  std::vector<SourceDistances> sources;
+  for (int i = 0; i < 64; ++i) {
+    const GraphLocation q = sim.graph().NearestLocation(
+        Experiment::RandomIndoorPoint(sim.anchors(), rng),
+        /*prefer_hallways=*/true);
+    sources.push_back(SourceDistances::FromTable(
+        OneToAllDistances(sim.graph(), q), 0.0, sim.deployment()));
+  }
+  sim.collector().last_read_index();
+  size_t i = 0;
+  int64_t candidates = 0;
+  for (auto _ : state) {
+    const std::vector<ObjectId> c = FilterKnnCandidates(
+        sim.collector(), sim.deployment(), sources[i++ % sources.size()],
+        /*k=*/3, sim.now(), sim.config().max_speed);
+    benchmark::DoNotOptimize(c.data());
+    candidates += static_cast<int64_t>(c.size());
+  }
+  state.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PruneKnn)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
+// One applied reading plus the rebuild it forces on the next pruning read.
+void BM_PruneIndexRebuild(benchmark::State& state) {
+  Simulation& sim = PruneWorld(static_cast<int>(state.range(0)));
+  DataCollector collector;
+  collector.RestoreState(sim.collector().ExportState());
+  const ObjectId object = collector.KnownObjects().front();
+  AggregatedEntry last = *collector.LastReading(object);
+  for (auto _ : state) {
+    ++last.time;
+    collector.Observe({object, last.reader, last.time});
+    benchmark::DoNotOptimize(collector.last_read_index().entries.data());
+  }
+}
+BENCHMARK(BM_PruneIndexRebuild)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ipqs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -273,85 +272,51 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
   double next = kInf;
   const double u = cfg.max_speed;
   if (cfg.use_pruning && u > 0.0) {
+    // t_touch and t_cross both grow with t_last, so along a bucket their
+    // minimum over non-candidates is at the oldest non-candidate.
+    const LastReadIndex& index = collector.last_read_index();
+    const auto oldest_outside = [&](ReaderId r) -> const LastRead* {
+      for (const LastRead& e : index.bucket(r)) {
+        if (!std::binary_search(sub.candidates.begin(), sub.candidates.end(),
+                                e.object)) {
+          return &e;
+        }
+      }
+      return nullptr;
+    };
     if (sub.query.kind == BatchQuery::Kind::kRange) {
-      // Readers are pinned: memoize the window distance per reader.
-      std::unordered_map<ReaderId, double> window_dist;
-      for (ObjectId o : collector.KnownObjects()) {
-        if (std::binary_search(sub.candidates.begin(), sub.candidates.end(),
-                               o)) {
+      for (ReaderId r = 0; r < index.num_readers(); ++r) {
+        const LastRead* e = oldest_outside(r);
+        if (e == nullptr) {
           continue;
         }
-        const DataCollector::ObjectHistory* h = collector.History(o);
-        if (h == nullptr || h->entries.empty()) {
-          continue;
-        }
-        const AggregatedEntry last = h->entries.back();
-        auto [it, inserted] = window_dist.try_emplace(last.reader, 0.0);
-        if (inserted) {
-          it->second =
-              sub.query.window.DistanceTo(deployment.reader(last.reader).pos);
-        }
+        const Reader& reader = deployment.reader(r);
         const double t_touch =
-            static_cast<double>(last.time) +
-            (it->second - deployment.reader(last.reader).range) / u;
+            static_cast<double>(e->time) +
+            (sub.query.window.DistanceTo(reader.pos) - reader.range) / u;
         next = std::min(next, t_touch);
       }
     } else if (!sub.dists.empty()) {
-      // Recompute the pruning bound f exactly as FilterKnnCandidates did
-      // for this evaluation (k-th smallest l over every known object).
-      struct Bounds {
-        ObjectId object;
-        double d;  // Query→reader network distance.
-        double l;
-        int64_t t_last;
-      };
-      std::vector<Bounds> bounds;
-      for (ObjectId o : collector.KnownObjects()) {
-        const DataCollector::ObjectHistory* h = collector.History(o);
-        if (h == nullptr || h->entries.empty()) {
-          continue;
+      // The bound FilterKnnCandidates pruned this evaluation with.
+      sub.f = KnnPruningBound(collector, deployment, sub.dists, sub.query.k,
+                              now, u);
+      // f == +inf (at most k known objects, or fewer than k finite l's)
+      // admitted every object as a candidate; a new object arrives as a
+      // change (which dirties), and the guard keeps inf - inf out of
+      // t_cross.
+      for (ReaderId r = 0; std::isfinite(sub.f) && r < index.num_readers();
+           ++r) {
+        const double d = sub.dists.to_reader[r];
+        const LastRead* e = oldest_outside(r);
+        if (!std::isfinite(d) || e == nullptr) {
+          continue;  // Unreachable reader (s_j stays inf) or no outsider.
         }
-        const AggregatedEntry last = h->entries.back();
-        const Reader& r = deployment.reader(last.reader);
-        const double d = sub.dists.to_reader[last.reader];
-        const double radius =
-            u * static_cast<double>(now - last.time) + r.range;
-        const double pad = radius + sub.dists.slack;
-        bounds.push_back({o, d, d + pad, last.time});
+        const double t_cross =
+            (d - deployment.reader(r).range - sub.dists.slack - sub.f +
+             u * static_cast<double>(e->time + now)) /
+            (2.0 * u);
+        next = std::min(next, t_cross);
       }
-      if (static_cast<int>(bounds.size()) > sub.query.k) {
-        std::vector<double> max_dists;
-        max_dists.reserve(bounds.size());
-        for (const Bounds& b : bounds) {
-          max_dists.push_back(b.l);
-        }
-        std::nth_element(max_dists.begin(),
-                         max_dists.begin() + (sub.query.k - 1),
-                         max_dists.end());
-        sub.f = max_dists[sub.query.k - 1];
-      }
-      if (std::isfinite(sub.f)) {
-        for (const Bounds& b : bounds) {
-          if (std::binary_search(sub.candidates.begin(), sub.candidates.end(),
-                                 b.object)) {
-            continue;
-          }
-          if (!std::isfinite(b.d)) {
-            continue;  // Unreachable reader: s_j stays inf forever.
-          }
-          const Reader& r = deployment.reader(
-              collector.History(b.object)->entries.back().reader);
-          const double t_cross =
-              (b.d - r.range - sub.dists.slack - sub.f +
-               u * static_cast<double>(b.t_last + now)) /
-              (2.0 * u);
-          next = std::min(next, t_cross);
-        }
-      }
-      // bounds.size() <= k keeps f at +inf: every known object was a
-      // candidate, and any new object arrives as a change (which dirties).
-      // f == +inf (fewer than k finite l's) likewise admits everything as
-      // a candidate, and the inf guard keeps inf - inf out of t_cross.
     }
   }
   sub.next_expand =
@@ -508,6 +473,12 @@ const std::vector<ObjectId>& SubscriptionManager::KnnCurrent(
   IPQS_CHECK(it != subs_.end());
   IPQS_CHECK(it->second.query.kind == BatchQuery::Kind::kKnn);
   return it->second.current;
+}
+
+double SubscriptionManager::NextExpand(SubscriptionId id) const {
+  const auto it = subs_.find(id);
+  IPQS_CHECK(it != subs_.end());
+  return it->second.next_expand;
 }
 
 SubscriptionStats SubscriptionManager::stats() const {

@@ -127,6 +127,9 @@ class SubscriptionManager {
   const std::map<ObjectId, double>& RangeMembers(SubscriptionId id) const;
   // Current top-k of a kNN subscription, most probable first.
   const std::vector<ObjectId>& KnnCurrent(SubscriptionId id) const;
+  // Time (minus the margin) at which the nearest non-candidate could join
+  // the subscription's candidates; -inf when its answer is not settled.
+  double NextExpand(SubscriptionId id) const;
 
   SubscriptionStats stats() const;
   int64_t last_tick_time() const { return last_tick_time_; }

@@ -1,6 +1,9 @@
 #include "query/uncertain_region.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <span>
 
 #include "common/check.h"
 
@@ -45,73 +48,103 @@ DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
   return DistanceInterval{std::max(0.0, d - pad), d + pad};
 }
 
+namespace {
+
+// Checks the filters' preconditions: no reading newer than `now` (the
+// per-object check of ComputeUncertainRegion, hoisted to the newest
+// entry) and a non-negative speed.
+const LastReadIndex& PruningIndex(const DataCollector& collector, int64_t now,
+                                  double max_speed) {
+  IPQS_CHECK_GE(max_speed, 0.0);
+  const LastReadIndex& index = collector.last_read_index();
+  IPQS_CHECK_GE(now, index.newest);
+  return index;
+}
+
+UncertainRegion RegionOf(const Deployment& deployment, ReaderId reader,
+                         const LastRead& e, int64_t now, double max_speed) {
+  return ComputeUncertainRegion(deployment, e.object,
+                                AggregatedEntry{e.time, reader}, now,
+                                max_speed);
+}
+
+// The objects of the longest prefix of every bucket on which
+// `keep(reader, entry)` holds, ascending; `keep` must hold on a prefix
+// (true for the oldest entries, false from some point on). Survivors are
+// marked by rank and read back in id order, which is cheaper than
+// sorting them.
+template <typename Keep>
+std::vector<ObjectId> OldestPrefixes(const LastReadIndex& index, Keep keep) {
+  std::vector<uint64_t> marked((index.objects.size() + 63) / 64);
+  for (ReaderId r = 0; r < index.num_readers(); ++r) {
+    const std::span<const LastRead> bucket = index.bucket(r);
+    const auto end = std::partition_point(
+        bucket.begin(), bucket.end(),
+        [&](const LastRead& e) { return keep(r, e); });
+    for (auto it = bucket.begin(); it != end; ++it) {
+      marked[it->rank / 64] |= uint64_t{1} << (it->rank % 64);
+    }
+  }
+  std::vector<ObjectId> out;
+  for (size_t w = 0; w < marked.size(); ++w) {
+    for (uint64_t bits = marked[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(index.objects[w * 64 + std::countr_zero(bits)]);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<ObjectId> FilterRangeCandidates(
     const DataCollector& collector, const Deployment& deployment,
     const std::vector<Rect>& windows, int64_t now, double max_speed) {
-  std::vector<ObjectId> candidates;
-  for (ObjectId object : collector.KnownObjects()) {
-    const auto last = collector.LastReading(object);
-    if (!last.has_value()) {
-      continue;
-    }
-    const UncertainRegion ur =
-        ComputeUncertainRegion(deployment, object, *last, now, max_speed);
-    for (const Rect& w : windows) {
-      if (ur.Overlaps(w)) {
-        candidates.push_back(object);
-        break;
-      }
+  const LastReadIndex& index = PruningIndex(collector, now, max_speed);
+  return OldestPrefixes(index, [&](ReaderId r, const LastRead& e) {
+    const UncertainRegion ur = RegionOf(deployment, r, e, now, max_speed);
+    return std::any_of(windows.begin(), windows.end(),
+                       [&](const Rect& w) { return ur.Overlaps(w); });
+  });
+}
+
+double KnnPruningBound(const DataCollector& collector,
+                       const Deployment& deployment,
+                       const SourceDistances& dists, int k, int64_t now,
+                       double max_speed) {
+  IPQS_CHECK_GT(k, 0);
+  const LastReadIndex& index = PruningIndex(collector, now, max_speed);
+  if (index.entries.size() <= static_cast<size_t>(k)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // The k smallest l_i overall are among the k newest of each bucket.
+  std::vector<double> max_dists;
+  for (ReaderId r = 0; r < index.num_readers(); ++r) {
+    const std::span<const LastRead> bucket = index.bucket(r);
+    for (const LastRead& e :
+         bucket.last(std::min(bucket.size(), static_cast<size_t>(k)))) {
+      max_dists.push_back(
+          NetworkDistanceInterval(dists, RegionOf(deployment, r, e, now,
+                                                  max_speed))
+              .max_dist);
     }
   }
-  return candidates;
+  std::nth_element(max_dists.begin(), max_dists.begin() + (k - 1),
+                   max_dists.end());
+  return max_dists[k - 1];
 }
 
 std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
                                           const Deployment& deployment,
                                           const SourceDistances& dists, int k,
                                           int64_t now, double max_speed) {
-  IPQS_CHECK_GT(k, 0);
-
-  struct Entry {
-    ObjectId object;
-    DistanceInterval interval;
-  };
-  std::vector<Entry> entries;
-  for (ObjectId object : collector.KnownObjects()) {
-    const auto last = collector.LastReading(object);
-    if (!last.has_value()) {
-      continue;
-    }
-    const UncertainRegion ur =
-        ComputeUncertainRegion(deployment, object, *last, now, max_speed);
-    entries.push_back({object, NetworkDistanceInterval(dists, ur)});
-  }
-  if (static_cast<int>(entries.size()) <= k) {
-    std::vector<ObjectId> all;
-    all.reserve(entries.size());
-    for (const Entry& e : entries) {
-      all.push_back(e.object);
-    }
-    return all;
-  }
-
-  // f = k-th smallest l_i.
-  std::vector<double> max_dists;
-  max_dists.reserve(entries.size());
-  for (const Entry& e : entries) {
-    max_dists.push_back(e.interval.max_dist);
-  }
-  std::nth_element(max_dists.begin(), max_dists.begin() + (k - 1),
-                   max_dists.end());
-  const double f = max_dists[k - 1];
-
-  std::vector<ObjectId> candidates;
-  for (const Entry& e : entries) {
-    if (e.interval.min_dist <= f) {
-      candidates.push_back(e.object);
-    }
-  }
-  return candidates;
+  const double f =
+      KnnPruningBound(collector, deployment, dists, k, now, max_speed);
+  return OldestPrefixes(
+      collector.last_read_index(), [&](ReaderId r, const LastRead& e) {
+        return NetworkDistanceInterval(
+                   dists, RegionOf(deployment, r, e, now, max_speed))
+                   .min_dist <= f;
+      });
 }
 
 }  // namespace ipqs

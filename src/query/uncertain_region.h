@@ -72,6 +72,14 @@ struct SourceDistances {
 DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
                                          const UncertainRegion& region);
 
+// Both candidate filters read the collector's LastReadIndex instead of
+// scanning every known object: along one reader's bucket the region
+// radius only shrinks as t_last grows, so each filter keeps the oldest
+// prefix of every bucket, found by binary search with the exact predicate
+// the scan applied per object. Output is ascending and unique. Both abort
+// (like ComputeUncertainRegion) when any reading is newer than `now`, and
+// require max_speed >= 0 (a negative speed would reverse the order).
+
 // Range-query candidate filter: objects whose uncertain region overlaps at
 // least one window. Objects without any reading are never candidates (they
 // have never been inside the instrumented space).
@@ -79,10 +87,18 @@ std::vector<ObjectId> FilterRangeCandidates(
     const DataCollector& collector, const Deployment& deployment,
     const std::vector<Rect>& windows, int64_t now, double max_speed);
 
+// The kNN pruning bound f: the k-th smallest l_i over every known object,
+// or +inf when at most k objects are known. l_i is smallest for the newest
+// entries of a bucket, so only the k newest of each bucket are examined.
+double KnnPruningBound(const DataCollector& collector,
+                       const Deployment& deployment,
+                       const SourceDistances& dists, int k, int64_t now,
+                       double max_speed);
+
 // kNN candidate filter (distance-based pruning of [30]): drops every object
-// whose s_i exceeds f = the k-th smallest l_i. With unreachable readers in
-// play f can be +inf, in which case nothing is pruned — a sound superset;
-// the evaluation stage, which expands over the actual graph, is what rules
+// whose s_i exceeds f = KnnPruningBound. With unreachable readers in play f
+// can be +inf, in which case nothing is pruned — a sound superset; the
+// evaluation stage, which expands over the actual graph, is what rules
 // unreachable objects out.
 std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
                                           const Deployment& deployment,

@@ -1,6 +1,8 @@
 #include "rfid/data_collector.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "common/check.h"
 
@@ -192,6 +194,7 @@ void DataCollector::Ingest(const RawReading& reading) {
   }
 
   h.entries.push_back({reading.time, reading.reader});
+  ++mutations_;
   if (metrics_.entries != nullptr) {
     metrics_.entries->Increment();
   }
@@ -242,6 +245,61 @@ std::vector<ObjectId> DataCollector::KnownObjects() const {
   return out;
 }
 
+const LastReadIndex& DataCollector::last_read_index() const {
+  if (indexed_at_ == mutations_) {
+    return last_read_;
+  }
+  LastReadIndex& index = last_read_;
+  std::vector<std::pair<ObjectId, AggregatedEntry>> known;
+  known.reserve(histories_.size());
+  for (const auto& [id, h] : histories_) {
+    if (!h.entries.empty()) {
+      IPQS_CHECK_GE(h.entries.back().reader, 0);
+      known.emplace_back(id, h.entries.back());
+    }
+  }
+  std::sort(known.begin(), known.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Counting sort by reader (ranks ascend within a bucket), then order
+  // each bucket by time.
+  index.objects.clear();
+  index.newest = std::numeric_limits<int64_t>::min();
+  ReaderId num_readers = 0;
+  for (const auto& [id, last] : known) {
+    index.objects.push_back(id);
+    index.newest = std::max(index.newest, last.time);
+    num_readers = std::max(num_readers, last.reader + 1);
+  }
+  index.begin.assign(static_cast<size_t>(num_readers) + 1, 0);
+  for (const auto& [id, last] : known) {
+    ++index.begin[last.reader + 1];
+  }
+  std::partial_sum(index.begin.begin(), index.begin.end(),
+                   index.begin.begin());
+  std::vector<size_t> fill(index.begin.begin(), index.begin.end() - 1);
+  index.entries.resize(known.size());
+  for (size_t i = 0; i < known.size(); ++i) {
+    const auto& [id, last] = known[i];
+    index.entries[fill[last.reader]++] = {last.time, id,
+                                          static_cast<uint32_t>(i)};
+  }
+  for (ReaderId r = 0; r < num_readers; ++r) {
+    std::stable_sort(index.entries.begin() + index.begin[r],
+                     index.entries.begin() + index.begin[r + 1],
+                     [](const LastRead& a, const LastRead& b) {
+                       return a.time < b.time;
+                     });
+  }
+  indexed_at_ = mutations_;
+  if (metrics_.prune_index_rebuilds != nullptr) {
+    metrics_.prune_index_rebuilds->Increment();
+  }
+  if (metrics_.prune_index_bytes != nullptr) {
+    metrics_.prune_index_bytes->Set(static_cast<int64_t>(index.bytes()));
+  }
+  return index;
+}
+
 DataCollector::PersistedState DataCollector::ExportState() const {
   PersistedState state;
   state.histories.reserve(histories_.size());
@@ -266,6 +324,7 @@ void DataCollector::RestoreState(PersistedState state) {
   max_seen_time_ = state.max_seen_time;
   watermark_ = state.watermark;
   ingest_stats_ = state.ingest;
+  ++mutations_;
   // The restored histories can differ arbitrarily from what consumers have
   // seen: drop the log and advance change_begin_ past every outstanding
   // cursor so each consumer observes a lost_sync on its next read.

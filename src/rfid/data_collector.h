@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct CollectorMetrics {
   obs::Counter* duplicates_dropped = nullptr;  // Idempotent suppression.
   obs::Counter* late_dropped = nullptr;        // Arrived behind the
                                                // watermark / object clock.
+  // Last-read index (pruning side, not ingest): rebuilds and heap bytes.
+  obs::Counter* prune_index_rebuilds = nullptr;
+  obs::Gauge* prune_index_bytes = nullptr;
 };
 
 // Ingestion-hardening knobs. The zero-value config reproduces the original
@@ -73,6 +77,43 @@ struct AggregatedEntry {
 
   friend bool operator==(const AggregatedEntry&,
                          const AggregatedEntry&) = default;
+};
+
+// One object's newest aggregated entry, filed under the reader that made
+// it: that reader last saw `object` at second `time`.
+struct LastRead {
+  int64_t time = 0;
+  ObjectId object = kInvalidId;
+  uint32_t rank = 0;  // Position of `object` in LastReadIndex::objects.
+};
+
+// Known objects partitioned by the reader that saw them last (the
+// reader-centric partitioning of Cao et al.), each bucket ascending by
+// (time, object). An uncertain region is a disc at its last reader whose
+// radius grows with now - time, so along a bucket every pruning bound is
+// monotone and every pruning predicate selects a prefix (the oldest
+// entries) or a suffix (the newest).
+struct LastReadIndex {
+  std::vector<LastRead> entries;  // All buckets, back to back.
+  std::vector<size_t> begin;      // Bucket r is [begin[r], begin[r + 1]).
+  // Every indexed object, ascending: ranks let a filter collect survivors
+  // in a bitmap and emit them in id order without sorting.
+  std::vector<ObjectId> objects;
+  // The newest entry's time (INT64_MIN when empty).
+  int64_t newest = std::numeric_limits<int64_t>::min();
+
+  ReaderId num_readers() const {
+    return begin.empty() ? 0 : static_cast<ReaderId>(begin.size() - 1);
+  }
+  std::span<const LastRead> bucket(ReaderId reader) const {
+    return std::span<const LastRead>(entries).subspan(
+        begin[reader], begin[reader + 1] - begin[reader]);
+  }
+  size_t bytes() const {
+    return entries.capacity() * sizeof(LastRead) +
+           begin.capacity() * sizeof(size_t) +
+           objects.capacity() * sizeof(ObjectId);
+  }
 };
 
 // An ENTER or LEAVE event: the object entered/left the activation range of
@@ -217,6 +258,12 @@ class DataCollector {
   // KnownObjects().size(), without building the list.
   size_t num_known_objects() const { return histories_.size(); }
 
+  // Every object with a reading, bucketed by last reader. Rebuilt lazily
+  // on the first call after a mutation, so the call is not thread-safe:
+  // only the thread that calls into the query layer reads it (pool
+  // workers read History() only), like the engine's DistanceIndex.
+  const LastReadIndex& last_read_index() const;
+
   // ENTER/LEAVE event log (recorded only when enabled; off by default to
   // keep long simulations lean).
   void set_record_events(bool record) { record_events_ = record; }
@@ -267,6 +314,11 @@ class DataCollector {
 
   CollectorConfig config_;
   std::unordered_map<ObjectId, ObjectHistory> histories_;
+  // Bumped by every applied mutation of histories_; the last-read index
+  // is current while indexed_at_ equals it.
+  uint64_t mutations_ = 0;
+  mutable uint64_t indexed_at_ = 0;
+  mutable LastReadIndex last_read_;
   std::vector<ReaderEvent> events_;
   bool record_events_ = false;
   CollectorMetrics metrics_;

@@ -74,6 +74,8 @@ Status Simulation::Init() {
     cm.reordered = reg.GetCounter("collector.reordered");
     cm.duplicates_dropped = reg.GetCounter("collector.duplicates_dropped");
     cm.late_dropped = reg.GetCounter("collector.late_dropped");
+    cm.prune_index_rebuilds = reg.GetCounter("collector.prune_index.rebuilds");
+    cm.prune_index_bytes = reg.GetGauge("collector.prune_index.bytes");
     collector_.SetMetrics(cm);
     if (injector_ != nullptr) {
       FaultMetrics fm;

@@ -29,9 +29,12 @@ constexpr int kWarmupSeconds = 20;   // Warm-up queries issued here.
 constexpr int kKillSeconds = 60;     // The persisted run dies here.
 constexpr int kSnapshotInterval = 25;  // Snapshots at t=25 and t=50.
 
+// No padding: gtest prints a parameter without a PrintTo as its raw
+// bytes into every ctest name, so a padded layout (int + bool) leaked
+// three indeterminate bytes there and the names changed between builds.
 struct RunParams {
   int num_threads = 1;
-  bool faulted = false;
+  int faulted = 0;  // 0 or 1.
 };
 
 std::string ParamName(const ::testing::TestParamInfo<RunParams>& info) {
@@ -257,12 +260,9 @@ TEST_P(RecoveryTest, CorruptNewestSnapshotFallsBackToOlderOne) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RecoveryTest,
-                         ::testing::Values(RunParams{1, false},
-                                           RunParams{4, false},
-                                           RunParams{8, false},
-                                           RunParams{1, true},
-                                           RunParams{4, true},
-                                           RunParams{8, true}),
+                         ::testing::Values(RunParams{1, 0}, RunParams{4, 0},
+                                           RunParams{8, 0}, RunParams{1, 1},
+                                           RunParams{4, 1}, RunParams{8, 1}),
                          ParamName);
 
 TEST(RecoveryConfigTest, RecoverWithoutDirIsInvalid) {

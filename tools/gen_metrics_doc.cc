@@ -147,6 +147,11 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"collector.duplicates_dropped", "Duplicate readings suppressed."},
       {"collector.late_dropped",
        "Readings dropped for arriving beyond the reorder window."},
+      {"collector.prune_index.rebuilds",
+       "Rebuilds of the per-reader last-read index that candidate pruning "
+       "reads; one per query means every query followed a mutation."},
+      {"collector.prune_index.bytes",
+       "Heap bytes held by the last-read index (gauge)."},
       // Reader health (registered when the health monitor is on).
       {"health.transitions", "Reader health-state transitions, all kinds."},
       {"health.suspect_transitions", "Transitions into the suspect state."},
