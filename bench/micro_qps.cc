@@ -1,13 +1,13 @@
 // Query-serving throughput vs. concurrent-query count: the same stream of
 // range/kNN queries served one engine call at a time versus batched
-// through the QueryScheduler at growing batch sizes (duplicate-query
+// through QueryEngine::EvaluateBatch at growing batch sizes (duplicate-query
 // dedup, one inference pass over the union of candidates per batch). Both
 // paths read kNN pruning distances from the same DistanceIndex rows.
 //
 // The workload models a serving frontend: at every timestamp a wave of
 // concurrent queries arrives, drawn from a hot panel of query points and
 // windows (dashboards and pinned views repeat the same queries), so a
-// batch contains duplicates and near-misses — exactly what the scheduler's
+// batch contains duplicates and near-misses — exactly what the batch
 // dedup exploits. Answers are verified byte-identical across every batch
 // size (and against the serial baseline); batching changes throughput,
 // never answers.
@@ -28,7 +28,7 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -124,7 +124,6 @@ int RunQps() {
       }
     }
 
-    QueryScheduler scheduler(&sim->pf_engine());
     Answers answers;
     double serve_ms = 0.0;
     int64_t served = 0;
@@ -155,7 +154,8 @@ int RunQps() {
           const std::vector<BatchQuery> chunk(
               wave.begin() + i,
               wave.begin() + std::min(i + batch_size, wave.size()));
-          std::vector<BatchAnswer> part = scheduler.EvaluateBatch(chunk, now);
+          std::vector<BatchAnswer> part =
+              sim->pf_engine().EvaluateBatch(chunk, now);
           for (BatchAnswer& a : part) {
             out.push_back(std::move(a));
           }
@@ -187,16 +187,14 @@ int RunQps() {
     const int64_t lookups = dstats.hits + dstats.misses;
     const double dindex_hit =
         lookups == 0 ? 0.0 : static_cast<double>(dstats.hits) / lookups;
-    // Fraction of the wave collapsed by dedup (0 on the serial row, where
-    // the scheduler never ran).
-    const int64_t sched_queries =
-        registry.GetCounter("pf.qps.queries")->Value();
+    // Fraction of the served queries collapsed by dedup (0 on the serial
+    // row, whose calls are batches of one).
     const double dedup =
-        sched_queries == 0
+        served == 0
             ? 0.0
             : static_cast<double>(
                   registry.GetCounter("pf.qps.duplicate_queries")->Value()) /
-                  static_cast<double>(sched_queries);
+                  static_cast<double>(served);
     bench::PrintRow(batch_size,
                     {serve_ms, qps,
                      baseline_ms == 0.0 ? 1.0 : baseline_ms / serve_ms,

@@ -2,13 +2,16 @@
 // conclusion sketches as future work. A facilities dashboard keeps a
 // standing range monitor on a meeting area and a standing 2NN monitor on
 // the lobby, printing only *changes*; every 30 s it also reports the
-// closest pair of tracked people (contact-tracing style).
+// closest pair of tracked people (contact-tracing style). Both monitors
+// share one SubscriptionManager, which re-evaluates a standing query only
+// when its answer could have changed.
 //
 // Build & run:   ./build/examples/continuous_tracking
 
 #include <cstdio>
 
 #include "query/continuous.h"
+#include "query/subscription.h"
 #include "sim/simulation.h"
 
 int main() {
@@ -31,8 +34,9 @@ int main() {
       Rect::FromCenter(sim.deployment().reader(14).pos, 14, 14);
   const Point lobby = sim.deployment().reader(2).pos;
 
-  ContinuousRangeMonitor area_monitor(&sim.pf_engine(), meeting_area, 0.5);
-  ContinuousKnnMonitor lobby_monitor(&sim.pf_engine(), lobby, 2);
+  SubscriptionManager standing(&sim.pf_engine());
+  ContinuousRangeMonitor area_monitor(&standing, meeting_area, 0.5);
+  ContinuousKnnMonitor lobby_monitor(&standing, lobby, 2);
   const ClosestPairEvaluator closest(&sim.anchors(), &sim.anchor_graph());
 
   std::printf("Watching meeting area %s and lobby %s\n\n",

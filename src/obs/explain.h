@@ -78,7 +78,7 @@ struct QueryExplain {
   int64_t ingest_staged = 0;        // Readings held in the reorder buffer.
   int64_t ingest_late_dropped = 0;  // Lifetime late-drop count at query time.
 
-  // ---- Batch context (QueryScheduler) ----------------------------------
+  // ---- Batch context (QueryEngine::EvaluateBatch) ---------------------
   bool batched = false;
   int64_t batch_size = 0;  // Queries in the batch this answer came from.
   bool deduped = false;    // This slot reused another slot's evaluation.

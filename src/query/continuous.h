@@ -13,11 +13,11 @@ class SubscriptionManager;
 
 // Continuous indoor spatial queries — the extensions the paper lists as
 // future work (Section 6: "continuous range, continuous kNN,
-// closest-pairs"). A monitor wraps a standing query against a QueryEngine
-// and reports result *deltas* between polls, which is what a monitoring
-// application actually consumes. Monitors can alternatively be backed by a
+// closest-pairs"). A monitor registers a standing query with a
 // SubscriptionManager (query/subscription.h), which evaluates many
-// standing queries incrementally and shares work across them.
+// standing queries incrementally and shares work across them, and reports
+// result *deltas* between polls, which is what a monitoring application
+// actually consumes.
 
 // Delta of a continuous range query between two polls. Membership is
 // thresholded: an object is "inside" while its probability of being in the
@@ -41,16 +41,14 @@ RangeUpdate DiffRangeResult(const QueryResult& result, double threshold,
 
 class ContinuousRangeMonitor {
  public:
-  ContinuousRangeMonitor(QueryEngine* engine, Rect window,
-                         double membership_threshold = 0.5);
-  // Subscription-backed monitor: the standing query is registered with
-  // `manager` and every Poll serves from its (incrementally maintained)
-  // cached answer instead of re-running the query.
+  // The standing query is registered with `manager`; every Poll serves
+  // from its (incrementally maintained) cached answer.
   ContinuousRangeMonitor(SubscriptionManager* manager, Rect window,
                          double membership_threshold = 0.5);
 
-  // Re-evaluates the standing query at `now` and returns what changed
-  // since the previous poll.
+  // Brings the standing query's answer to `now` (ticking the manager if it
+  // has not ticked at `now`) and returns what changed since the previous
+  // poll.
   RangeUpdate Poll(int64_t now);
 
   const Rect& window() const { return window_; }
@@ -58,8 +56,7 @@ class ContinuousRangeMonitor {
   const std::map<ObjectId, double>& members() const { return members_; }
 
  private:
-  QueryEngine* engine_ = nullptr;
-  SubscriptionManager* manager_ = nullptr;
+  SubscriptionManager* manager_;
   int64_t sub_id_ = -1;
   Rect window_;
   double threshold_;
@@ -86,8 +83,7 @@ KnnUpdate DiffKnnResult(const KnnResult& result, int k, int64_t now,
 
 class ContinuousKnnMonitor {
  public:
-  ContinuousKnnMonitor(QueryEngine* engine, Point query, int k);
-  // Subscription-backed monitor (see ContinuousRangeMonitor).
+  // Registers the standing query with `manager` (see ContinuousRangeMonitor).
   ContinuousKnnMonitor(SubscriptionManager* manager, Point query, int k);
 
   KnnUpdate Poll(int64_t now);
@@ -96,8 +92,7 @@ class ContinuousKnnMonitor {
   int k() const { return k_; }
 
  private:
-  QueryEngine* engine_ = nullptr;
-  SubscriptionManager* manager_ = nullptr;
+  SubscriptionManager* manager_;
   int64_t sub_id_ = -1;
   Point query_;
   int k_;

@@ -2,25 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
-
-namespace {
-
-// Canonical candidate order for the degraded paths: ascending and unique,
-// so plan lists and prune-only accumulation never depend on the order the
-// pruning stage emitted candidates in.
-std::vector<ipqs::ObjectId> Canonicalize(
-    const std::vector<ipqs::ObjectId>& candidates) {
-  std::vector<ipqs::ObjectId> sorted = candidates;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted;
-}
-
-}  // namespace
 
 namespace ipqs {
 namespace {
@@ -32,6 +18,20 @@ std::vector<GraphLocation> ReaderLocations(const Deployment& deployment) {
     locs.push_back(deployment.reader(r).loc);
   }
   return locs;
+}
+
+// Byte-identical queries (bit-equal coordinates) collapse to one
+// evaluation; nearly-equal ones do not — dedup must never change answers.
+bool SameQuery(const BatchQuery& a, const BatchQuery& b) {
+  if (a.kind != b.kind) {
+    return false;
+  }
+  if (a.kind == BatchQuery::Kind::kRange) {
+    return a.window.min_x == b.window.min_x &&
+           a.window.min_y == b.window.min_y &&
+           a.window.max_x == b.window.max_x && a.window.max_y == b.window.max_y;
+  }
+  return a.point.x == b.point.x && a.point.y == b.point.y && a.k == b.k;
 }
 
 }  // namespace
@@ -88,6 +88,15 @@ void QueryEngine::InitObservability() {
   counters_.filter_runs = metrics_->GetCounter(p + ".engine.filter_runs");
   counters_.filter_resumes = metrics_->GetCounter(p + ".engine.filter_resumes");
   counters_.filter_seconds = metrics_->GetCounter(p + ".engine.filter_seconds");
+  batch_counters_.batches = metrics_->GetCounter(p + ".qps.batches");
+  batch_counters_.queries = metrics_->GetCounter(p + ".qps.queries");
+  batch_counters_.duplicate_queries =
+      metrics_->GetCounter(p + ".qps.duplicate_queries");
+  batch_counters_.candidate_slots =
+      metrics_->GetCounter(p + ".qps.candidate_slots");
+  batch_counters_.unique_candidates =
+      metrics_->GetCounter(p + ".qps.unique_candidates");
+  batch_counters_.batch_size = metrics_->GetHistogram(p + ".qps.batch_size");
   degrade_counters_.full = metrics_->GetCounter(p + ".degrade.full");
   degrade_counters_.cached_stale =
       metrics_->GetCounter(p + ".degrade.cached_stale");
@@ -300,228 +309,265 @@ void QueryEngine::InferBatch(const std::vector<ObjectId>& candidates,
   }
 }
 
-QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now) {
-  return EvaluateRange(window, now, config_.deadline_ms);
-}
-
 QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now,
-                                       int64_t deadline_ms) {
-  return EvaluateRange(window, now, deadline_ms, nullptr);
-}
-
-QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now,
-                                       int64_t deadline_ms,
-                                       obs::QueryExplain* explain) {
-  SyncTableTo(now);
+                                       const QueryOptions& options) {
+  IPQS_CHECK(options.explains == nullptr && options.details == nullptr);
   const obs::TraceSpan span(trace_, "range_query");
   const obs::ScopedTimer latency(timers_.range_latency_ns);
-  counters_.queries->Increment();
-  // Everything gathered for `explain` is observational — counter reads,
-  // non-mutating cache probes, clock reads. None of it reaches the RNG or
-  // the admission decision, so the answer cannot depend on it.
-  const bool explained = explain != nullptr;
-  const int64_t t_start = explained ? obs::MonotonicNanos() : 0;
-  const ExplainBaseline baseline =
-      explained ? CaptureBaseline() : ExplainBaseline{};
-
-  std::vector<ObjectId> candidates;
-  {
-    const obs::TraceSpan prune_span(trace_, "prune");
-    const obs::ScopedTimer prune_timer(timers_.prune_ns);
-    if (config_.use_pruning) {
-      candidates = FilterRangeCandidates(*collector_, *deployment_, {window},
-                                         now, config_.max_speed);
-    } else {
-      candidates = collector_->KnownObjects();
-    }
-  }
-  const int64_t known = static_cast<int64_t>(collector_->num_known_objects());
-  counters_.objects_considered->Increment(known);
-
-  // See EvaluateKnn: restricting evaluation to this query's candidates
-  // makes the answer independent of what other queries memoized at `now`.
-  const std::vector<ObjectId> restrict = Canonicalize(candidates);
-
-  const int64_t t_pruned = explained ? obs::MonotonicNanos() : 0;
-  if (explained) {
-    explain->kind = "range";
-    explain->now = now;
-    explain->deadline_ms = deadline_ms;
-    explain->pruning_enabled = config_.use_pruning;
-    explain->objects_known = known;
-    explain->candidates = static_cast<int64_t>(restrict.size());
-    explain->prune_ns = t_pruned - t_start;
-    ProbeCacheOutcomes(restrict, now, explain);
-    FillIngestContext(explain);
-  }
-
-  PlanDecision decision;
-  const InferPlan plan = PlanInference(restrict, now, deadline_ms,
-                                       explained ? &decision : nullptr);
-  CountPlan(plan);
-
-  QueryResult result;
-  int64_t t_inferred = t_pruned;
-  if (plan.level == QualityLevel::kPruneOnly) {
-    result = PruneOnlyRange(restrict, window, now);
-  } else if (plan.level != QualityLevel::kFull) {
-    AnchorObjectTable scratch;
-    ExecuteDegradedPlan(plan, now, &scratch);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = range_eval_.Evaluate(scratch, window, &restrict);
-    result.quality = plan.level;
-  } else {
-    InferBatch(restrict, now);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = range_eval_.Evaluate(table_, window, &restrict);
-  }
-
-  result.coverage_degraded = CoverageDegraded(restrict, &window);
-
-  if (explained) {
-    const int64_t t_end = obs::MonotonicNanos();
-    explain->infer_ns = t_inferred - t_pruned;
-    explain->evaluate_ns = t_end - t_inferred;
-    explain->total_ns = t_end - t_start;
-    explain->quality = std::string(ToString(result.quality));
-    explain->coverage_degraded = result.coverage_degraded;
-    explain->budget_reason = decision.reason;
-    explain->budget_filter_seconds = decision.budget;
-    explain->est_full_cost = decision.est_full;
-    explain->est_stale_cost = decision.est_stale;
-    explain->est_reduced_cost = decision.est_reduced;
-    ChargeDeltas(baseline, explain);
-    explain->result_objects = static_cast<int64_t>(result.objects.size());
-    explain->result_total_probability = result.TotalProbability();
-  }
-  return result;
-}
-
-KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now) {
-  return EvaluateKnn(query, k, now, config_.deadline_ms);
+  const BatchQuery query = BatchQuery::Range(window);
+  BatchAnswer answer;
+  Serve({&query, 1}, now, options, /*batched=*/false, {&answer, 1},
+        options.explain);
+  return std::move(answer.range);
 }
 
 KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
-                                   int64_t deadline_ms) {
-  return EvaluateKnn(query, k, now, deadline_ms, nullptr);
-}
-
-KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
-                                   int64_t deadline_ms,
-                                   obs::QueryExplain* explain) {
-  SyncTableTo(now);
+                                   const QueryOptions& options) {
+  IPQS_CHECK(options.explains == nullptr && options.details == nullptr);
   const obs::TraceSpan span(trace_, "knn_query");
   const obs::ScopedTimer latency(timers_.knn_latency_ns);
-  counters_.queries->Increment();
-  const bool explained = explain != nullptr;
+  const BatchQuery knn = BatchQuery::Knn(query, k);
+  BatchAnswer answer;
+  Serve({&knn, 1}, now, options, /*batched=*/false, {&answer, 1},
+        options.explain);
+  return std::move(answer.knn);
+}
+
+std::vector<BatchAnswer> QueryEngine::EvaluateBatch(
+    const std::vector<BatchQuery>& batch, int64_t now,
+    const QueryOptions& options) {
+  IPQS_CHECK(options.explain == nullptr);
+  std::vector<BatchAnswer> answers(batch.size());
+  obs::QueryExplain* explains = nullptr;
+  if (options.explains != nullptr) {
+    options.explains->assign(batch.size(), obs::QueryExplain{});
+    explains = options.explains->data();
+  }
+  Serve(batch, now, options, /*batched=*/true, answers, explains);
+  return answers;
+}
+
+void QueryEngine::Serve(std::span<const BatchQuery> batch, int64_t now,
+                        const QueryOptions& options, bool batched,
+                        std::span<BatchAnswer> answers,
+                        obs::QueryExplain* explains) {
+  if (options.details != nullptr) {
+    options.details->assign(batch.size(), BatchSlotDetail{});
+  }
+  if (batch.empty()) {
+    return;
+  }
+  const int64_t deadline_ms = options.deadline_ms.value_or(config_.deadline_ms);
+  // Everything gathered for `explains` is observational — counter reads,
+  // non-mutating cache probes, clock reads. None of it reaches the RNG or
+  // the admission decision, so no answer can depend on it.
+  const bool explained = explains != nullptr;
   const int64_t t_start = explained ? obs::MonotonicNanos() : 0;
   const ExplainBaseline baseline =
       explained ? CaptureBaseline() : ExplainBaseline{};
+  const int64_t size = static_cast<int64_t>(batch.size());
+  batch_counters_.batches->Increment();
+  batch_counters_.queries->Increment(size);
+  batch_counters_.batch_size->Observe(size);
+  counters_.queries->Increment(size);
+  SyncTableTo(now);
 
-  const GraphLocation q =
-      graph_->NearestLocation(query, /*prefer_hallways=*/true);
-  // Distance tables are only needed by pruning and the prune-only
-  // fallback; acquire lazily so the pruning-off fast path never pays a
-  // Dijkstra.
-  std::optional<SourceDistances> qd;
-  const auto distances = [&]() -> const SourceDistances& {
-    if (!qd.has_value()) {
-      qd = DistancesFor(q);
-    }
-    return *qd;
+  // Stage 1: dedup. Each distinct query answers (and explains) into the
+  // slot of its first occurrence; slot_of maps every slot to it.
+  struct Distinct {
+    size_t first = 0;
+    GraphLocation q;                 // kKnn: snapped query location.
+    SourceDistances qd;              // kKnn: distances its pruning read.
+    std::vector<ObjectId> restrict;  // Candidate set, ascending and unique.
   };
-  std::vector<ObjectId> candidates;
-  {
-    const obs::TraceSpan prune_span(trace_, "prune");
-    const obs::ScopedTimer prune_timer(timers_.prune_ns);
-    if (config_.use_pruning) {
-      const SourceDistances& d = distances();
-      candidates = FilterKnnCandidates(*collector_, *deployment_, d, k, now,
-                                       config_.max_speed);
-    } else {
-      candidates = collector_->KnownObjects();
+  std::vector<Distinct> distinct;
+  std::vector<size_t> slot_of(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    answers[i].kind = batch[i].kind;
+    size_t slot = distinct.size();
+    for (size_t s = 0; s < distinct.size(); ++s) {
+      if (SameQuery(batch[distinct[s].first], batch[i])) {
+        slot = s;
+        break;
+      }
     }
+    slot_of[i] = slot;
+    if (slot < distinct.size()) {
+      batch_counters_.duplicate_queries->Increment();
+      continue;
+    }
+    distinct.emplace_back().first = i;
   }
+
+  // Stage 2: per-distinct-query pruning.
   const int64_t known = static_cast<int64_t>(collector_->num_known_objects());
-  counters_.objects_considered->Increment(known);
-
-  // Evaluation is restricted to this query's own candidate set, so the
-  // answer is a pure function of (query, now) — distributions memoized in
-  // the APtoObjHT by OTHER queries at the same timestamp can no longer
-  // leak probability mass into this one.
-  const std::vector<ObjectId> restrict = Canonicalize(candidates);
-
-  const int64_t t_pruned = explained ? obs::MonotonicNanos() : 0;
-  if (explained) {
-    explain->kind = "knn";
-    explain->now = now;
-    explain->deadline_ms = deadline_ms;
-    explain->k = k;
-    explain->pruning_enabled = config_.use_pruning;
-    explain->objects_known = known;
-    explain->candidates = static_cast<int64_t>(restrict.size());
-    explain->prune_ns = t_pruned - t_start;
-    if (qd.has_value()) {
-      explain->dindex_slack = qd->slack;
+  for (Distinct& d : distinct) {
+    const BatchQuery& query = batch[d.first];
+    const bool range = query.kind == BatchQuery::Kind::kRange;
+    if (!range) {
+      d.q = graph_->NearestLocation(query.point, /*prefer_hallways=*/true);
     }
-    ProbeCacheOutcomes(restrict, now, explain);
-    FillIngestContext(explain);
+    {
+      const obs::TraceSpan prune_span(trace_, "prune");
+      const obs::ScopedTimer prune_timer(timers_.prune_ns);
+      if (!config_.use_pruning) {
+        d.restrict = collector_->KnownObjects();
+      } else if (range) {
+        d.restrict = FilterRangeCandidates(*collector_, *deployment_,
+                                           {query.window}, now,
+                                           config_.max_speed);
+      } else {
+        // Distance rows are read only when pruning (or the prune-only
+        // fallback) needs them, so the pruning-off path never fills one.
+        d.qd = DistancesFor(d.q);
+        d.restrict = FilterKnnCandidates(*collector_, *deployment_, d.qd,
+                                         query.k, now, config_.max_speed);
+      }
+    }
+    // Planning, the union and the table merge all rely on this order.
+    IPQS_DCHECK(std::adjacent_find(d.restrict.begin(), d.restrict.end(),
+                                   std::greater_equal<ObjectId>()) ==
+                d.restrict.end());
+    counters_.objects_considered->Increment(known);
+    batch_counters_.candidate_slots->Increment(
+        static_cast<int64_t>(d.restrict.size()));
+    if (explained) {
+      obs::QueryExplain& e = explains[d.first];
+      e.kind = range ? "range" : "knn";
+      e.now = now;
+      e.deadline_ms = deadline_ms;
+      e.k = range ? 0 : query.k;
+      e.pruning_enabled = config_.use_pruning;
+      e.objects_known = known;
+      e.candidates = static_cast<int64_t>(d.restrict.size());
+      e.batched = batched;
+      e.batch_size = batched ? size : 0;
+      ProbeCacheOutcomes(d.restrict, now, &e);
+      FillIngestContext(&e);
+    }
   }
+  const int64_t t_pruned = explained ? obs::MonotonicNanos() : 0;
 
+  // Stage 3: one admission decision for the union, so the deadline budget
+  // is charged once per unique object no matter how many queries want it.
+  std::vector<ObjectId> merged;
+  const std::vector<ObjectId>* all = &distinct.front().restrict;
+  if (distinct.size() > 1) {
+    for (const Distinct& d : distinct) {
+      merged.insert(merged.end(), d.restrict.begin(), d.restrict.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    all = &merged;
+  }
+  batch_counters_.unique_candidates->Increment(
+      static_cast<int64_t>(all->size()));
   PlanDecision decision;
-  const InferPlan plan = PlanInference(restrict, now, deadline_ms,
+  const InferPlan plan = PlanInference(*all, now, deadline_ms,
                                        explained ? &decision : nullptr);
-  CountPlan(plan);
-
-  KnnResult result;
-  int64_t t_inferred = t_pruned;
-  if (plan.level == QualityLevel::kPruneOnly) {
-    result = PruneOnlyKnn(restrict, distances(), k, now);
-  } else if (plan.level != QualityLevel::kFull) {
-    AnchorObjectTable scratch;
-    ExecuteDegradedPlan(plan, now, &scratch);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = knn_eval_.Evaluate(scratch, q, k, &restrict);
-    result.result.quality = plan.level;
-  } else {
-    InferBatch(restrict, now);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = knn_eval_.Evaluate(table_, q, k, &restrict);
+  // Every query is served at the chosen level; count each one.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    CountPlan(plan);
   }
 
-  result.result.coverage_degraded = CoverageDegraded(restrict, nullptr);
+  // Stages 4+5: infer once, then answer each distinct query against the
+  // shared table restricted to its own candidates — so the answer never
+  // depends on what other queries memoized at `now`. Degraded
+  // distributions go to a scratch table, never memoized for later
+  // full-quality queries.
+  AnchorObjectTable scratch;
+  const AnchorObjectTable* table = &table_;
+  int64_t t_inferred = t_pruned;
+  if (plan.level != QualityLevel::kPruneOnly) {
+    if (plan.level == QualityLevel::kFull) {
+      InferBatch(*all, now);
+    } else {
+      ExecuteDegradedPlan(plan, now, &scratch);
+      table = &scratch;
+    }
+    t_inferred = explained ? obs::MonotonicNanos() : t_pruned;
+  }
+  for (Distinct& d : distinct) {
+    const BatchQuery& query = batch[d.first];
+    BatchAnswer& a = answers[d.first];
+    const bool range = query.kind == BatchQuery::Kind::kRange;
+    if (plan.level == QualityLevel::kPruneOnly) {
+      if (range) {
+        a.range = PruneOnlyRange(d.restrict, query.window, now);
+      } else {
+        if (d.qd.empty()) {
+          d.qd = DistancesFor(d.q);  // Pruning was off.
+        }
+        a.knn = PruneOnlyKnn(d.restrict, d.qd, query.k, now);
+      }
+    } else {
+      const obs::TraceSpan eval_span(trace_, "evaluate");
+      const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
+      if (range) {
+        a.range = range_eval_.Evaluate(*table, query.window, &d.restrict);
+        a.range.quality = plan.level;
+      } else {
+        a.knn = knn_eval_.Evaluate(*table, d.q, query.k, &d.restrict);
+        a.knn.result.quality = plan.level;
+      }
+    }
+    if (range) {
+      a.range.coverage_degraded = CoverageDegraded(d.restrict, &query.window);
+    } else {
+      a.knn.result.coverage_degraded = CoverageDegraded(d.restrict, nullptr);
+    }
+  }
 
   if (explained) {
     const int64_t t_end = obs::MonotonicNanos();
-    explain->infer_ns = t_inferred - t_pruned;
-    explain->evaluate_ns = t_end - t_inferred;
-    explain->total_ns = t_end - t_start;
-    // The prune-only fallback may have consulted the distance table even
-    // when pruning was off; report the slack it actually used.
-    if (qd.has_value()) {
-      explain->dindex_slack = qd->slack;
+    for (const Distinct& d : distinct) {
+      obs::QueryExplain& e = explains[d.first];
+      const BatchAnswer& a = answers[d.first];
+      const bool range = batch[d.first].kind == BatchQuery::Kind::kRange;
+      const QueryResult& result = range ? a.range : a.knn.result;
+      e.quality = std::string(ToString(result.quality));
+      e.coverage_degraded = result.coverage_degraded;
+      // The prune-only fallback may have read a distance row even with
+      // pruning off; report the slack actually used.
+      if (!d.qd.empty()) {
+        e.dindex_slack = d.qd.slack;
+      }
+      e.budget_reason = decision.reason;
+      e.budget_filter_seconds = decision.budget;
+      e.est_full_cost = decision.est_full;
+      e.est_stale_cost = decision.est_stale;
+      e.est_reduced_cost = decision.est_reduced;
+      // Stages run once for the whole batch: each record reports the
+      // batch's stage walls and work deltas (a batched query's marginal
+      // cost is exactly what batching makes shared).
+      e.prune_ns = t_pruned - t_start;
+      e.infer_ns = t_inferred - t_pruned;
+      e.evaluate_ns = t_end - t_inferred;
+      e.total_ns = t_end - t_start;
+      ChargeDeltas(baseline, &e);
+      e.result_objects = static_cast<int64_t>(result.objects.size());
+      e.result_total_probability =
+          range ? a.range.TotalProbability() : a.knn.total_probability;
     }
-    explain->quality = std::string(ToString(result.result.quality));
-    explain->coverage_degraded = result.result.coverage_degraded;
-    explain->budget_reason = decision.reason;
-    explain->budget_filter_seconds = decision.budget;
-    explain->est_full_cost = decision.est_full;
-    explain->est_stale_cost = decision.est_stale;
-    explain->est_reduced_cost = decision.est_reduced;
-    ChargeDeltas(baseline, explain);
-    explain->result_objects =
-        static_cast<int64_t>(result.result.objects.size());
-    explain->result_total_probability = result.total_probability;
   }
-  return result;
+
+  // Fan each distinct answer out to its duplicate slots.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Distinct& d = distinct[slot_of[i]];
+    if (d.first != i) {
+      answers[i] = answers[d.first];
+      if (explained) {
+        explains[i] = explains[d.first];
+        explains[i].deduped = true;
+      }
+    }
+    if (options.details != nullptr) {
+      BatchSlotDetail& slot = (*options.details)[i];
+      slot.candidates = d.restrict;
+      slot.snapped = d.q;
+      slot.dists = d.qd;
+    }
+  }
 }
 
 SourceDistances QueryEngine::DistancesFor(const GraphLocation& query) {
@@ -561,7 +607,7 @@ QueryEngine::InferPlan QueryEngine::PlanInference(
   };
   std::vector<Estimate> estimates;
   double full_level_cost = 0.0;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;
@@ -809,7 +855,7 @@ QueryResult QueryEngine::PruneOnlyRange(const std::vector<ObjectId>& candidates,
                                         int64_t now) const {
   QueryResult result;
   result.quality = QualityLevel::kPruneOnly;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;
@@ -847,7 +893,7 @@ KnnResult QueryEngine::PruneOnlyKnn(const std::vector<ObjectId>& candidates,
     ObjectId object;
   };
   std::vector<Ranked> order;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;

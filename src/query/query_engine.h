@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "common/thread_pool.h"
 #include "filter/particle_cache.h"
 #include "filter/particle_filter.h"
+#include "geom/point.h"
+#include "geom/rect.h"
 #include "graph/distance_index.h"
 #include "health/reader_health.h"
 #include "obs/explain.h"
@@ -59,7 +62,7 @@ struct EngineConfig {
   FilterConfig filter;
   SymbolicConfig symbolic;
   // Default per-query deadline in milliseconds; 0 disables degradation.
-  // Per-call overloads of EvaluateRange/EvaluateKnn override it.
+  // QueryOptions::deadline_ms overrides it per call.
   int64_t deadline_ms = 0;
   DegradePolicy degrade;
   // u_max used by the query-aware optimization module's uncertain regions.
@@ -67,7 +70,7 @@ struct EngineConfig {
   bool use_pruning = true;  // Query aware optimization module on/off.
   bool use_cache = true;    // Cache management module on/off (PF only).
   uint64_t seed = 7;
-  // Fan-out width for batch inference (EvaluateRange / EvaluateKnn /
+  // Fan-out width for batch inference (every query entry point and
   // InferBatch): per-object filter runs are spread over this many worker
   // threads. 1 = serial. Answers are identical at any setting — every
   // object's inference draws from its own (seed, object, timestamp)
@@ -97,10 +100,74 @@ struct EngineConfig {
   const ReaderHealthMonitor* health = nullptr;
 };
 
+// One query of a QueryEngine::EvaluateBatch call.
+struct BatchQuery {
+  enum class Kind { kRange, kKnn };
+
+  static BatchQuery Range(const Rect& window) {
+    BatchQuery q;
+    q.kind = Kind::kRange;
+    q.window = window;
+    return q;
+  }
+  static BatchQuery Knn(const Point& point, int k) {
+    BatchQuery q;
+    q.kind = Kind::kKnn;
+    q.point = point;
+    q.k = k;
+    return q;
+  }
+
+  Kind kind = Kind::kRange;
+  Rect window;  // kRange only.
+  Point point;  // kKnn only.
+  int k = 0;    // kKnn only.
+};
+
+// Answer slot for one BatchQuery; read the member matching its kind.
+struct BatchAnswer {
+  BatchQuery::Kind kind = BatchQuery::Kind::kRange;
+  QueryResult range;
+  KnnResult knn;
+};
+
+// Per-slot serving internals surfaced to callers that maintain incremental
+// state on top of a batch (the SubscriptionManager): the candidate set the
+// slot's answer was restricted to (ascending, unique), and — for kNN with
+// pruning on — the snapped query location plus the per-reader distances
+// and slack its pruning read. `dists` is empty for range queries and
+// whenever pruning was off.
+struct BatchSlotDetail {
+  std::vector<ObjectId> candidates;
+  GraphLocation snapped;
+  SourceDistances dists;
+};
+
+// Per-call options of every query entry point. The sinks are strictly
+// observational: answers are byte-identical whether or not they are set
+// (pinned by tests/determinism_test.cc) — nothing read for them feeds the
+// RNG, the cache, or the admission decision. An entry point aborts when
+// handed a sink that belongs to the other kind of entry.
+struct QueryOptions {
+  // Deadline for this call in milliseconds; unset uses
+  // EngineConfig::deadline_ms (0 = never degrade).
+  std::optional<int64_t> deadline_ms = std::nullopt;
+  // EvaluateRange / EvaluateKnn: the query's provenance record (see
+  // obs/explain.h).
+  obs::QueryExplain* explain = nullptr;
+  // EvaluateBatch: one provenance record per slot (resized to the batch).
+  std::vector<obs::QueryExplain>* explains = nullptr;
+  // EvaluateBatch: one BatchSlotDetail per slot (resized to the batch).
+  std::vector<BatchSlotDetail>* details = nullptr;
+};
+
 struct EngineStats {
   int64_t queries = 0;
   int64_t objects_considered = 0;   // Known objects summed over queries.
-  int64_t candidates_inferred = 0;  // Objects surviving pruning.
+  // Per-object inference calls (memoized objects are not re-inferred, so
+  // this is not the pruning survivor count; <prefix>.qps.candidate_slots
+  // is).
+  int64_t candidates_inferred = 0;
   int64_t filter_runs = 0;          // Full Algorithm 2 executions.
   int64_t filter_resumes = 0;       // Cache-hit resumptions.
   int64_t filter_seconds = 0;       // Total filtered seconds (work proxy).
@@ -138,28 +205,43 @@ class QueryEngine {
               const DeploymentGraph* deployment_graph,
               const DataCollector* collector, const EngineConfig& config);
 
-  // Probability each object lies in `window` at time `now`. Uses
-  // config.deadline_ms (0 = never degrade); the overload takes an explicit
-  // per-query deadline. The answer's `quality` field reports the level the
-  // admission policy chose.
-  QueryResult EvaluateRange(const Rect& window, int64_t now);
+  // Probability each object lies in `window` at time `now`. The answer's
+  // `quality` field reports the level the admission policy chose for the
+  // deadline (options.deadline_ms, else config.deadline_ms).
   QueryResult EvaluateRange(const Rect& window, int64_t now,
-                            int64_t deadline_ms);
-  // With a non-null `explain`, additionally fills a provenance record for
-  // the query (see obs/explain.h). Collection is strictly observational:
-  // the answer is byte-identical with explain on or off (pinned by
-  // tests/determinism_test.cc) — nothing read for the record feeds the
-  // RNG, the cache, or the admission decision.
-  QueryResult EvaluateRange(const Rect& window, int64_t now,
-                            int64_t deadline_ms, obs::QueryExplain* explain);
+                            const QueryOptions& options = {});
 
   // Probabilistic kNN at time `now` (Algorithm 4 result semantics), with
   // the same deadline handling as EvaluateRange.
-  KnnResult EvaluateKnn(const Point& query, int k, int64_t now);
   KnnResult EvaluateKnn(const Point& query, int k, int64_t now,
-                        int64_t deadline_ms);
-  KnnResult EvaluateKnn(const Point& query, int k, int64_t now,
-                        int64_t deadline_ms, obs::QueryExplain* explain);
+                        const QueryOptions& options = {});
+
+  // Answers batch[i] in answer slot i, with the per-object inference work
+  // done ONCE per unique candidate object instead of once per query that
+  // wants it. EvaluateRange and EvaluateKnn are this pipeline run on a
+  // batch of one:
+  //   1. dedup  — byte-identical queries collapse to one evaluation whose
+  //               answer is fanned back to every duplicate slot;
+  //   2. prune  — each distinct query computes its own candidate set
+  //               (kNN pruning reads the shared DistanceIndex rows);
+  //   3. plan   — ONE admission decision for the union of all candidate
+  //               sets, so a deadline's work budget is charged per unique
+  //               object, not per query;
+  //   4. infer  — one InferBatch over the union populates the shared
+  //               APtoObjHT (or one degraded scratch table);
+  //   5. answer — each distinct query evaluates against the shared table
+  //               restricted to its own candidates.
+  // Every answer is byte-identical to evaluating the same query alone at
+  // the same `now` (given the same cache state): per-object inference is a
+  // pure function of (seed, object history, now) and evaluation is
+  // restricted to the query's own candidate set. The only intended
+  // exception is the deadline path, where the batch admits one quality
+  // level for the whole union. Batch explain records share the union's
+  // decision and charge the batch's work; duplicate slots carry their
+  // representative's record with `deduped` set.
+  std::vector<BatchAnswer> EvaluateBatch(const std::vector<BatchQuery>& batch,
+                                         int64_t now,
+                                         const QueryOptions& options = {});
 
   // Location distribution of one object at `now`, inferring it if needed;
   // nullptr when the object has never been detected.
@@ -173,6 +255,11 @@ class QueryEngine {
   void InferBatch(const std::vector<ObjectId>& candidates, int64_t now);
 
   const EngineConfig& config() const { return config_; }
+  const DataCollector& collector() const { return *collector_; }
+  const Deployment& deployment() const { return *deployment_; }
+  // Read-only view for callers that probe cache state without mutating it
+  // (the SubscriptionManager's settledness pins).
+  const ParticleCache& cache() const { return cache_; }
   EngineStats stats() const;
   DegradeStats degrade_stats() const;
   ParticleCache::Stats cache_stats() const { return cache_.stats(); }
@@ -195,15 +282,6 @@ class QueryEngine {
   const AnchorObjectTable& table() const { return table_; }
 
  private:
-  // The batching scheduler (query/query_scheduler.h) reuses the engine's
-  // internal stages (pruning, planning, batch inference, restricted
-  // evaluation) to serve many queries per (now) with shared work.
-  friend class QueryScheduler;
-  // The subscription manager (query/subscription.h) probes the particle
-  // cache and reads the collector/config to decide which standing queries
-  // can provably serve their cached answer unchanged.
-  friend class SubscriptionManager;
-
   // The registry counters backing the EngineStats snapshot (always
   // non-null: they live in config.metrics or in own_registry_).
   struct StatCounters {
@@ -213,6 +291,15 @@ class QueryEngine {
     obs::Counter* filter_runs = nullptr;
     obs::Counter* filter_resumes = nullptr;
     obs::Counter* filter_seconds = nullptr;
+  };
+  // qps.* batch counters; a serial call counts as a batch of one.
+  struct BatchCounters {
+    obs::Counter* batches = nullptr;
+    obs::Counter* queries = nullptr;
+    obs::Counter* duplicate_queries = nullptr;  // Collapsed by dedup.
+    obs::Counter* candidate_slots = nullptr;    // Sum of per-query set sizes.
+    obs::Counter* unique_candidates = nullptr;  // Size of the union.
+    obs::Histogram* batch_size = nullptr;
   };
   // Per-stage latency histograms; all null when config.metrics is null
   // (ScopedTimer on a null histogram never reads the clock).
@@ -241,6 +328,14 @@ class QueryEngine {
     std::vector<ObjectId> stale;  // Serve cached state as-is (L1/L2).
     std::vector<ObjectId> infer;  // Freshly infer (full or reduced Ns).
   };
+
+  // The query pipeline behind every entry point (see EvaluateBatch).
+  // `answers` has one slot per query; `explains` is null or points at one
+  // record per query. `batched` is false for the single-query entries,
+  // whose records report no batch context.
+  void Serve(std::span<const BatchQuery> batch, int64_t now,
+             const QueryOptions& options, bool batched,
+             std::span<BatchAnswer> answers, obs::QueryExplain* explains);
 
   // Registers every metric under config.metrics_prefix and wires the
   // filter, cache, and (lazily) the thread pool.
@@ -277,6 +372,7 @@ class QueryEngine {
   // Picks the highest quality level whose estimated filter-seconds fit
   // deadline_ms * degrade.filter_seconds_per_ms. Pure function of the
   // candidates' histories and the cache state (work estimates, not clocks).
+  // `candidates` must be ascending and unique.
   // A non-null `decision` receives the budget arithmetic for provenance;
   // passing it never changes the plan.
   InferPlan PlanInference(const std::vector<ObjectId>& candidates,
@@ -355,6 +451,7 @@ class QueryEngine {
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::MetricsRegistry* metrics_ = nullptr;
   StatCounters counters_;
+  BatchCounters batch_counters_;
   DegradeCounters degrade_counters_;
   StageTimers timers_;
   obs::TraceRecorder* trace_ = nullptr;

@@ -4,125 +4,29 @@
 #include <cstdint>
 #include <vector>
 
-#include "geom/point.h"
-#include "geom/rect.h"
+#include "common/check.h"
 #include "query/query_engine.h"
 
 namespace ipqs {
 
-// One query in a batch submitted to the QueryScheduler.
-struct BatchQuery {
-  enum class Kind { kRange, kKnn };
-
-  static BatchQuery Range(const Rect& window) {
-    BatchQuery q;
-    q.kind = Kind::kRange;
-    q.window = window;
-    return q;
-  }
-  static BatchQuery Knn(const Point& point, int k) {
-    BatchQuery q;
-    q.kind = Kind::kKnn;
-    q.point = point;
-    q.k = k;
-    return q;
-  }
-
-  Kind kind = Kind::kRange;
-  Rect window;  // kRange only.
-  Point point;  // kKnn only.
-  int k = 0;    // kKnn only.
-};
-
-// Answer slot for one BatchQuery; read the member matching its kind.
-struct BatchAnswer {
-  BatchQuery::Kind kind = BatchQuery::Kind::kRange;
-  QueryResult range;
-  KnnResult knn;
-};
-
-// Per-slot serving internals surfaced to callers that maintain incremental
-// state on top of the batch (the SubscriptionManager): the canonical
-// candidate set the slot's answer was restricted to, and — for kNN with
-// pruning on — the snapped query location plus the per-reader distance
-// distances and slack its pruning read. `dists` is empty for range queries
-// and whenever pruning was off.
-struct BatchSlotDetail {
-  std::vector<ObjectId> candidates;
-  GraphLocation snapped;
-  SourceDistances dists;
-};
-
-// Batched multi-query serving: takes a set of range/kNN queries that share
-// one evaluation timestamp and answers all of them with the per-object
-// inference work done ONCE per unique candidate object, instead of once
-// per query that wants it.
-//
-// Pipeline per batch (reusing the owning engine's internal stages):
-//   1. dedup  — byte-identical queries collapse to one evaluation whose
-//               answer is fanned back to every duplicate slot;
-//   2. prune  — each distinct query computes its own candidate set through
-//               the engine's pruning (kNN pruning reads the shared
-//               DistanceIndex tables);
-//   3. plan   — ONE admission decision for the union of all candidate
-//               sets, so a deadline's work budget is charged per unique
-//               object, not per query;
-//   4. infer  — one InferBatch over the union populates the shared
-//               APtoObjHT (or one degraded scratch table);
-//   5. answer — each distinct query evaluates against the shared table
-//               restricted to its own candidates, exactly as the serial
-//               path would.
-//
-// Determinism: every answer is byte-identical to evaluating the same query
-// alone through QueryEngine::EvaluateRange / EvaluateKnn at the same `now`
-// (given the same engine cache state), because per-object inference is a
-// pure function of (seed, object history, now) and evaluation is
-// restricted to the query's own candidate set. Batching changes how much
-// work is done, never what any query answers. The only intended exception
-// is the deadline path: the batch admits ONE quality level for the whole
-// union, where serial evaluation plans per query.
-//
-// Not thread-safe: one scheduler (like one engine) serves one batch at a
-// time; the parallelism lives inside InferBatch.
+// Forwarding shim over QueryEngine::EvaluateBatch, which is where batched
+// serving lives. It remains only because the end-to-end benchmark
+// (e2ebench/src/replay.cc) constructs a QueryScheduler and that package is
+// versioned with the benchmark definition; new code calls the engine.
 class QueryScheduler {
  public:
-  explicit QueryScheduler(QueryEngine* engine);
+  explicit QueryScheduler(QueryEngine* engine) : engine_(engine) {
+    IPQS_CHECK(engine != nullptr);
+  }
 
-  // Answers batch[i] in answer slot i. Uses the engine's configured
-  // deadline; the overload takes an explicit per-batch deadline (the
-  // budget buys the union's inference, see above).
   std::vector<BatchAnswer> EvaluateBatch(const std::vector<BatchQuery>& batch,
-                                         int64_t now);
-  std::vector<BatchAnswer> EvaluateBatch(const std::vector<BatchQuery>& batch,
-                                         int64_t now, int64_t deadline_ms);
-  // With non-null `explains`, fills one provenance record per batch slot
-  // (explains->at(i) describes batch[i]; resized to batch.size()).
-  // Duplicate slots carry their distinct representative's record with
-  // `deduped` set. Batch records share the union's admission decision and
-  // charge the BATCH's inference work (a batched query's marginal cost is
-  // exactly what batching makes shared). Collection never perturbs
-  // answers — pinned by tests/determinism_test.cc.
-  std::vector<BatchAnswer> EvaluateBatch(
-      const std::vector<BatchQuery>& batch, int64_t now, int64_t deadline_ms,
-      std::vector<obs::QueryExplain>* explains);
-  // With non-null `details`, additionally fills one BatchSlotDetail per
-  // batch slot (duplicate slots copy their representative's). Strictly
-  // observational — answers never depend on whether details are collected.
-  std::vector<BatchAnswer> EvaluateBatch(
-      const std::vector<BatchQuery>& batch, int64_t now, int64_t deadline_ms,
-      std::vector<obs::QueryExplain>* explains,
-      std::vector<BatchSlotDetail>* details);
+                                         int64_t now,
+                                         const QueryOptions& options = {}) {
+    return engine_->EvaluateBatch(batch, now, options);
+  }
 
  private:
   QueryEngine* engine_;
-
-  // qps.* metrics under the engine's metrics prefix.
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* queries_ = nullptr;
-  obs::Counter* duplicate_queries_ = nullptr;  // Collapsed by dedup.
-  obs::Counter* candidate_slots_ = nullptr;    // Sum of per-query set sizes.
-  obs::Counter* unique_candidates_ = nullptr;  // Size of the union.
-  obs::Histogram* batch_size_ = nullptr;
 };
 
 }  // namespace ipqs

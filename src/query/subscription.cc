@@ -16,7 +16,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SubscriptionManager::SubscriptionManager(
     QueryEngine* engine, const SubscriptionManagerConfig& config)
-    : engine_(engine), config_(config), scheduler_(engine) {
+    : engine_(engine), config_(config) {
   IPQS_CHECK(engine != nullptr);
   IPQS_CHECK_GE(config_.margin_seconds, 0.0);
   obs::MetricsRegistry* m = config_.metrics;
@@ -34,14 +34,14 @@ SubscriptionManager::SubscriptionManager(
   // Future collector changes are drained tick by tick; everything already
   // ingested is covered by the first evaluation (every new subscription
   // starts dirty).
-  if (engine_->collector_->change_log_enabled()) {
-    change_cursor_ = engine_->collector_->change_log_end();
+  if (engine_->collector().change_log_enabled()) {
+    change_cursor_ = engine_->collector().change_log_end();
     cursor_primed_ = true;
   }
   // Same contract for health transitions: only future transitions matter
   // (the first evaluation of every subscription sees the current view).
-  if (engine_->config_.health != nullptr) {
-    health_cursor_ = engine_->config_.health->transition_end();
+  if (engine_->config().health != nullptr) {
+    health_cursor_ = engine_->config().health->transition_end();
     health_primed_ = true;
   }
 }
@@ -81,13 +81,13 @@ void SubscriptionManager::Remove(SubscriptionId id) {
 bool SubscriptionManager::PinsHold(const Sub& sub, int64_t now) const {
   for (const CandidatePin& pin : sub.pins) {
     const DataCollector::ObjectHistory* h =
-        engine_->collector_->History(pin.object);
+        engine_->collector().History(pin.object);
     if (h == nullptr || h->entries.empty() ||
         h->current_device != pin.device || h->LastTime() != pin.last_reading) {
       return false;
     }
     if (pin.probe) {
-      const auto probe = engine_->cache_.Probe(pin.object, *h, now);
+      const auto probe = engine_->cache().Probe(pin.object, *h, now);
       if (!probe.has_value() || !probe->resumable ||
           probe->state_time != pin.state_time) {
         return false;
@@ -105,7 +105,7 @@ bool SubscriptionManager::HealthClean(
   if (sub.query.kind == BatchQuery::Kind::kKnn) {
     return false;  // No window to scope the transition against.
   }
-  const Deployment& deployment = *engine_->deployment_;
+  const Deployment& deployment = engine_->deployment();
   for (ReaderId r : transitioned) {
     const Reader& reader = deployment.reader(r);
     const Rect zone =
@@ -115,7 +115,7 @@ bool SubscriptionManager::HealthClean(
     }
   }
   for (ObjectId o : sub.candidates) {
-    const DataCollector::ObjectHistory* h = engine_->collector_->History(o);
+    const DataCollector::ObjectHistory* h = engine_->collector().History(o);
     if (h != nullptr &&
         std::binary_search(transitioned.begin(), transitioned.end(),
                            h->current_device)) {
@@ -128,8 +128,8 @@ bool SubscriptionManager::HealthClean(
 bool SubscriptionManager::ChangesClean(Sub& sub,
                                        const std::vector<ObjectId>& changed,
                                        int64_t now) {
-  const EngineConfig& cfg = engine_->config_;
-  const Deployment& deployment = *engine_->deployment_;
+  const EngineConfig& cfg = engine_->config();
+  const Deployment& deployment = engine_->deployment();
   const double u = cfg.max_speed;
   for (ObjectId j : changed) {
     if (std::binary_search(sub.candidates.begin(), sub.candidates.end(), j)) {
@@ -140,7 +140,7 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
       // brand-new object the cached answer has never seen.
       return false;
     }
-    const DataCollector::ObjectHistory* h = engine_->collector_->History(j);
+    const DataCollector::ObjectHistory* h = engine_->collector().History(j);
     if (h == nullptr || h->entries.empty()) {
       return false;
     }
@@ -202,9 +202,9 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
 void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
                                        const BatchSlotDetail& detail,
                                        int64_t now) {
-  const EngineConfig& cfg = engine_->config_;
-  const DataCollector& collector = *engine_->collector_;
-  const Deployment& deployment = *engine_->deployment_;
+  const EngineConfig& cfg = engine_->config();
+  const DataCollector& collector = engine_->collector();
+  const Deployment& deployment = engine_->deployment();
   sub.answer = answer;
   sub.last_eval = now;
   sub.candidates = detail.candidates;
@@ -243,7 +243,7 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
           sub.stable = false;
           break;
         }
-        const auto probe = engine_->cache_.Probe(o, *h, now);
+        const auto probe = engine_->cache().Probe(o, *h, now);
         if (!probe.has_value() || !probe->resumable ||
             probe->state_time != settle) {
           sub.stable = false;
@@ -335,7 +335,7 @@ SubscriptionTickResult SubscriptionManager::Tick(
   ticks_->Increment();
 
   // Drain the collector's change log into a sorted-unique changed set.
-  const DataCollector& collector = *engine_->collector_;
+  const DataCollector& collector = engine_->collector();
   bool lost_sync = !cursor_primed_ || !collector.change_log_enabled();
   std::vector<ObjectId> changed;
   if (cursor_primed_ && collector.change_log_enabled()) {
@@ -357,7 +357,7 @@ SubscriptionTickResult SubscriptionManager::Tick(
   if (health_primed_) {
     std::vector<ReaderHealthTransition> drained;
     bool health_lost = false;
-    health_cursor_ = engine_->config_.health->ReadTransitions(
+    health_cursor_ = engine_->config().health->ReadTransitions(
         health_cursor_, &drained, &health_lost);
     if (health_lost) {
       lost_sync = true;
@@ -396,8 +396,9 @@ SubscriptionTickResult SubscriptionManager::Tick(
   std::vector<BatchAnswer> answers;
   std::vector<BatchSlotDetail> details;
   if (!batch.empty()) {
-    answers = scheduler_.EvaluateBatch(batch, now, /*deadline_ms=*/0,
-                                       explains, &details);
+    answers = engine_->EvaluateBatch(
+        batch, now,
+        {.deadline_ms = 0, .explains = explains, .details = &details});
   } else if (explains != nullptr) {
     explains->clear();
   }

@@ -9,7 +9,7 @@
 
 #include "obs/metrics.h"
 #include "query/continuous.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 
 namespace ipqs {
 
@@ -66,7 +66,7 @@ struct SubscriptionStats {
 // continuous-query future work of Section 6, engineered for serving:
 // register range/kNN queries once, call Tick(now) after each ingest
 // second, and only the subscriptions whose answers COULD have changed are
-// re-evaluated (batched through the QueryScheduler so shared candidates
+// re-evaluated (in one QueryEngine::EvaluateBatch, so shared candidates
 // are inferred once). The rest serve their cached answer with an empty
 // delta.
 //
@@ -96,7 +96,7 @@ struct SubscriptionStats {
 //
 // The manager never perturbs ad-hoc queries: it only reads the collector
 // and probes (never mutates) the engine's cache outside of the batched
-// evaluations it issues, and those go through the same QueryScheduler path
+// evaluations it issues, and those go through the same EvaluateBatch path
 // any frontend uses.
 class SubscriptionManager {
  public:
@@ -109,7 +109,7 @@ class SubscriptionManager {
   void Remove(SubscriptionId id);
   size_t size() const { return subs_.size(); }
 
-  // Re-evaluates every dirty subscription at `now` (one scheduler batch)
+  // Re-evaluates every dirty subscription at `now` (one engine batch)
   // and emits per-subscription deltas. `now` must not decrease across
   // calls. With non-null `explains`, fills one provenance record per
   // EVALUATED subscription (in the updates' evaluated order).
@@ -198,7 +198,6 @@ class SubscriptionManager {
 
   QueryEngine* engine_;
   SubscriptionManagerConfig config_;
-  QueryScheduler scheduler_;
   std::map<SubscriptionId, Sub> subs_;  // Ordered: ticks are deterministic.
   SubscriptionId next_id_ = 0;
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 
 namespace ipqs {
 
@@ -50,15 +50,7 @@ StatusOr<ExperimentResult> Experiment::Run() {
   MeanAccumulator top1;
   MeanAccumulator top2;
 
-  std::optional<QueryScheduler> pf_scheduler;
-  std::optional<QueryScheduler> sm_scheduler;
-  if (config_.batch_queries) {
-    pf_scheduler.emplace(&sim->pf_engine());
-    sm_scheduler.emplace(&sim->sm_engine());
-  }
-
   std::vector<obs::QueryExplain> explains;
-  const int64_t pf_deadline_ms = sim->pf_engine().config().deadline_ms;
 
   for (int ts = 0; ts < config_.num_timestamps; ++ts) {
     // Provenance is collected for the final timestamp only: one
@@ -71,9 +63,9 @@ StatusOr<ExperimentResult> Experiment::Run() {
     const std::vector<TrueObjectState>& states = sim->true_states();
 
     if (config_.batch_queries) {
-      // Batched serving: identical query draws, identical answers (the
-      // scheduler is pinned byte-identical to serial evaluation), but one
-      // scheduler pass per engine instead of one engine call per query.
+      // Batched serving: identical query draws, identical answers (batches
+      // are pinned byte-identical to serial evaluation), but one
+      // EvaluateBatch per engine instead of one engine call per query.
       std::vector<BatchQuery> batch;
       std::vector<std::vector<ObjectId>> truths;
       if (config_.eval_range) {
@@ -104,11 +96,10 @@ StatusOr<ExperimentResult> Experiment::Run() {
           truths.push_back(std::move(truth));
         }
       }
-      const std::vector<BatchAnswer> pf =
-          explain_ts ? pf_scheduler->EvaluateBatch(batch, now, pf_deadline_ms,
-                                                   &explains)
-                     : pf_scheduler->EvaluateBatch(batch, now);
-      const std::vector<BatchAnswer> sm = sm_scheduler->EvaluateBatch(batch, now);
+      const std::vector<BatchAnswer> pf = sim->pf_engine().EvaluateBatch(
+          batch, now, {.explains = explain_ts ? &explains : nullptr});
+      const std::vector<BatchAnswer> sm =
+          sim->sm_engine().EvaluateBatch(batch, now);
       for (size_t i = 0; i < batch.size(); ++i) {
         if (i < num_range) {
           kl_pf.AddOptional(RangeKlDivergence(truths[i], pf[i].range));
@@ -132,14 +123,11 @@ StatusOr<ExperimentResult> Experiment::Run() {
         if (truth.empty()) {
           continue;  // KL undefined; the paper averages populated windows.
         }
-        QueryResult pf;
+        obs::QueryExplain record;
+        const QueryResult pf = sim->pf_engine().EvaluateRange(
+            window, now, {.explain = explain_ts ? &record : nullptr});
         if (explain_ts) {
-          obs::QueryExplain record;
-          pf = sim->pf_engine().EvaluateRange(window, now, pf_deadline_ms,
-                                              &record);
           explains.push_back(std::move(record));
-        } else {
-          pf = sim->pf_engine().EvaluateRange(window, now);
         }
         const QueryResult sm = sim->sm_engine().EvaluateRange(window, now);
         kl_pf.AddOptional(RangeKlDivergence(truth, pf));
@@ -156,14 +144,11 @@ StatusOr<ExperimentResult> Experiment::Run() {
         if (truth.empty()) {
           continue;
         }
-        KnnResult pf;
+        obs::QueryExplain record;
+        const KnnResult pf = sim->pf_engine().EvaluateKnn(
+            q, config_.k, now, {.explain = explain_ts ? &record : nullptr});
         if (explain_ts) {
-          obs::QueryExplain record;
-          pf = sim->pf_engine().EvaluateKnn(q, config_.k, now, pf_deadline_ms,
-                                            &record);
           explains.push_back(std::move(record));
-        } else {
-          pf = sim->pf_engine().EvaluateKnn(q, config_.k, now);
         }
         const KnnResult sm = sim->sm_engine().EvaluateKnn(q, config_.k, now);
         // PF: score the full Algorithm 4 result set. SM: only its maximum

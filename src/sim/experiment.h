@@ -33,9 +33,9 @@ struct ExperimentConfig {
   bool eval_knn = true;
   bool eval_topk = true;
 
-  // Serve each timestamp's queries as ONE batch per engine through the
-  // QueryScheduler (shared pruning tables, one inference pass over the
-  // union of candidates) instead of one engine call per query. Query
+  // Serve each timestamp's queries as ONE QueryEngine::EvaluateBatch per
+  // engine (shared pruning tables, one inference pass over the union of
+  // candidates) instead of one engine call per query. Query
   // windows/points are drawn in the identical rng order, and batched
   // answers are byte-identical to serial ones, so scores never move —
   // only the work counters do.
@@ -43,7 +43,7 @@ struct ExperimentConfig {
 
   // Collect QueryExplain provenance records for the LAST timestamp's PF
   // queries (serial path: one record per engine call; batched path: one
-  // per batch slot, via the scheduler's batch explain) into
+  // per batch slot, via the batch explain) into
   // ExperimentResult::explains. Strictly observational — answers and
   // scores are byte-identical with this on or off.
   bool collect_explain = false;

@@ -13,22 +13,30 @@
 namespace ipqs {
 namespace {
 
+std::unique_ptr<Simulation> World() {
+  SimulationConfig config;
+  config.trace.num_objects = 30;
+  config.seed = 777;
+  std::unique_ptr<Simulation> sim = Simulation::Create(config).value();
+  sim->Run(200);
+  return sim;
+}
+
 class ContinuousFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimulationConfig config;
-    config.trace.num_objects = 30;
-    config.seed = 777;
-    sim_ = Simulation::Create(config).value();
-    sim_->Run(200);
+    sim_ = World();
+    manager_ = std::make_unique<SubscriptionManager>(&sim_->pf_engine());
   }
 
   std::unique_ptr<Simulation> sim_;
+  // Backs the monitors: every Poll serves the manager's cached answer.
+  std::unique_ptr<SubscriptionManager> manager_;
 };
 
 TEST_F(ContinuousFixture, RangeMonitorReportsDeltasNotSnapshots) {
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(5).pos, 12, 12);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.5);
+  ContinuousRangeMonitor monitor(manager_.get(), zone, 0.5);
 
   const RangeUpdate first = monitor.Poll(sim_->now());
   // The very first poll reports every current member as "entered".
@@ -42,7 +50,7 @@ TEST_F(ContinuousFixture, RangeMonitorReportsDeltasNotSnapshots) {
 
 TEST_F(ContinuousFixture, RangeMonitorMembershipConsistent) {
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(9).pos, 14, 14);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.4);
+  ContinuousRangeMonitor monitor(manager_.get(), zone, 0.4);
   for (int i = 0; i < 5; ++i) {
     sim_->Run(10);
     const RangeUpdate update = monitor.Poll(sim_->now());
@@ -64,7 +72,7 @@ TEST_F(ContinuousFixture, RangeMonitorMembershipConsistent) {
 
 TEST_F(ContinuousFixture, KnnMonitorTracksTopK) {
   const Point q = sim_->deployment().reader(9).pos;
-  ContinuousKnnMonitor monitor(&sim_->pf_engine(), q, 3);
+  ContinuousKnnMonitor monitor(manager_.get(), q, 3);
 
   const KnnUpdate first = monitor.Poll(sim_->now());
   EXPECT_LE(first.current.size(), 3u);
@@ -91,7 +99,7 @@ TEST_F(ContinuousFixture, RangeDeltaReplayReconstructsMembership) {
   // — membership is what the delta stream promises, so the replay tracks
   // the set and the entered probabilities are checked at entry time.)
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(7).pos, 14, 14);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.4);
+  ContinuousRangeMonitor monitor(manager_.get(), zone, 0.4);
   std::set<ObjectId> replay;
   for (int i = 0; i < 6; ++i) {
     const RangeUpdate update = monitor.Poll(sim_->now());
@@ -114,7 +122,7 @@ TEST_F(ContinuousFixture, RangeDeltaReplayReconstructsMembership) {
 
 TEST_F(ContinuousFixture, KnnDeltaReplayAndNoEnterLeaveSamePoll) {
   const Point q = sim_->deployment().reader(3).pos;
-  ContinuousKnnMonitor monitor(&sim_->pf_engine(), q, 3);
+  ContinuousKnnMonitor monitor(manager_.get(), q, 3);
   std::set<ObjectId> replay;
   for (int i = 0; i < 6; ++i) {
     const KnnUpdate update = monitor.Poll(sim_->now());
@@ -137,35 +145,39 @@ TEST_F(ContinuousFixture, KnnDeltaReplayAndNoEnterLeaveSamePoll) {
 }
 
 TEST_F(ContinuousFixture, SubscriptionBackedMonitorsMatchEngineBacked) {
-  // A monitor served from a SubscriptionManager's cached answers must
-  // emit the same deltas as one re-running the query itself, given the
-  // same engine configuration underneath.
-  SubscriptionManager manager(&sim_->pf_engine());
+  // A monitor served from a SubscriptionManager's cached answers must emit
+  // the same deltas as diffing a direct evaluation of the same query, run
+  // on a twin world (same configuration, same reading stream).
+  std::unique_ptr<Simulation> twin = World();
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(5).pos, 12, 12);
   const Point q = sim_->deployment().reader(9).pos;
-  ContinuousRangeMonitor sub_range(&manager, zone, 0.5);
-  ContinuousKnnMonitor sub_knn(&manager, q, 3);
+  ContinuousRangeMonitor sub_range(manager_.get(), zone, 0.5);
+  ContinuousKnnMonitor sub_knn(manager_.get(), q, 3);
+  std::map<ObjectId, double> members;
+  std::vector<ObjectId> current;
 
   for (int i = 0; i < 4; ++i) {
     const int64_t now = sim_->now();
+    ASSERT_EQ(twin->now(), now);
     const RangeUpdate ru = sub_range.Poll(now);
     const KnnUpdate ku = sub_knn.Poll(now);
-    // The manager evaluated at `now`; its cached answer diffed through the
-    // monitor equals diffing a direct evaluation.
-    const BatchAnswer& range_answer = manager.Answer(0);
-    const BatchAnswer& knn_answer = manager.Answer(1);
-    EXPECT_EQ(range_answer.kind, BatchQuery::Kind::kRange);
-    for (const auto& [id, p] : ru.entered) {
-      EXPECT_EQ(range_answer.range.ProbabilityOf(id), p);
-      EXPECT_TRUE(sub_range.members().count(id));
-    }
-    EXPECT_EQ(ku.current, knn_answer.knn.result.TopObjects(3));
+    const RangeUpdate want_ru = DiffRangeResult(
+        twin->pf_engine().EvaluateRange(zone, now), 0.5, now, &members);
+    const KnnUpdate want_ku = DiffKnnResult(
+        twin->pf_engine().EvaluateKnn(q, 3, now), 3, now, &current);
+    EXPECT_EQ(ru.entered, want_ru.entered) << "poll " << i;
+    EXPECT_EQ(ru.left, want_ru.left) << "poll " << i;
+    EXPECT_EQ(sub_range.members(), members) << "poll " << i;
+    EXPECT_EQ(ku.entered, want_ku.entered) << "poll " << i;
+    EXPECT_EQ(ku.left, want_ku.left) << "poll " << i;
+    EXPECT_EQ(ku.current, want_ku.current) << "poll " << i;
     // Polling again within the same second is delta-free.
     EXPECT_TRUE(sub_range.Poll(now).Empty());
     EXPECT_TRUE(sub_knn.Poll(now).Empty());
     sim_->Run(10);
+    twin->Run(10);
   }
-  EXPECT_GT(manager.stats().ticks, 0);
+  EXPECT_GT(manager_->stats().ticks, 0);
 }
 
 TEST(DiffRangeResultTest, DeltasSortedByObjectIdRegardlessOfInsertion) {

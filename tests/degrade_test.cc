@@ -81,7 +81,7 @@ TEST_F(DegradeTest, GenerousDeadlineMatchesUndeadlinedAnswer) {
   const QueryResult undeadlined =
       a->pf_engine().EvaluateRange(window, a->now());
   const QueryResult generous =
-      b->pf_engine().EvaluateRange(window, b->now(), /*deadline_ms=*/1 << 30);
+      b->pf_engine().EvaluateRange(window, b->now(), {.deadline_ms = 1 << 30});
   EXPECT_EQ(generous.quality, QualityLevel::kFull);
   EXPECT_EQ(generous.objects, undeadlined.objects);
 }
@@ -92,7 +92,7 @@ TEST_F(DegradeTest, TinyDeadlineFallsToPruneOnlyDeterministically) {
   // Budget of 1 filter-second against a cold cache and ~20 objects of
   // ~60s history each: nothing fits, not even the reduced-Ns rung.
   const QueryResult first =
-      a->pf_engine().EvaluateRange(window, a->now(), /*deadline_ms=*/1);
+      a->pf_engine().EvaluateRange(window, a->now(), {.deadline_ms = 1});
   EXPECT_EQ(first.quality, QualityLevel::kPruneOnly);
   EXPECT_EQ(a->pf_engine().degrade_stats().prune_only, 1);
   // Prune-only probabilities are only ever the certain 1.0 or the
@@ -104,7 +104,7 @@ TEST_F(DegradeTest, TinyDeadlineFallsToPruneOnlyDeterministically) {
   // Degradation is deterministic: an identical run degrades identically.
   std::unique_ptr<Simulation> b = FreshSim(BaseConfig(), 60);
   const QueryResult second =
-      b->pf_engine().EvaluateRange(window, b->now(), /*deadline_ms=*/1);
+      b->pf_engine().EvaluateRange(window, b->now(), {.deadline_ms = 1});
   EXPECT_EQ(second.quality, QualityLevel::kPruneOnly);
   EXPECT_EQ(second.objects, first.objects);
 }
@@ -121,7 +121,7 @@ TEST_F(DegradeTest, WarmCacheServesBoundedStaleness) {
   // loose enough for the zero-work stale rung serves the cached states
   // as-is (their age, 1s, is far inside max_stale_age_seconds).
   const QueryResult stale = sim->pf_engine().EvaluateRange(
-      window, sim->now() + 1, /*deadline_ms=*/5);
+      window, sim->now() + 1, {.deadline_ms = 5});
   EXPECT_EQ(stale.quality, QualityLevel::kCachedStale);
   const DegradeStats stats = sim->pf_engine().degrade_stats();
   EXPECT_EQ(stats.cached_stale, 1);
@@ -142,7 +142,7 @@ TEST_F(DegradeTest, MidBudgetRunsReducedParticles) {
   ASSERT_GT(deadline_ms, 0);
   const Rect window = Window(*a, 5);
   const QueryResult reduced =
-      a->pf_engine().EvaluateRange(window, a->now(), deadline_ms);
+      a->pf_engine().EvaluateRange(window, a->now(), {.deadline_ms = deadline_ms});
   EXPECT_EQ(reduced.quality, QualityLevel::kReducedParticles);
   EXPECT_EQ(a->pf_engine().degrade_stats().reduced_particles, 1);
   EXPECT_FALSE(reduced.objects.empty());
@@ -150,7 +150,7 @@ TEST_F(DegradeTest, MidBudgetRunsReducedParticles) {
   // Identical (seed, load, deadline) => identical degraded answer.
   std::unique_ptr<Simulation> b = FreshSim(config, 60);
   const QueryResult again =
-      b->pf_engine().EvaluateRange(window, b->now(), deadline_ms);
+      b->pf_engine().EvaluateRange(window, b->now(), {.deadline_ms = deadline_ms});
   EXPECT_EQ(again.quality, QualityLevel::kReducedParticles);
   EXPECT_EQ(again.objects, reduced.objects);
 }
@@ -159,7 +159,7 @@ TEST_F(DegradeTest, DegradedStatesNeverPolluteTheCache) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig(), 60);
   const Rect window = Window(*sim, 6);
   // A prune-only and a (cold-cache) full query...
-  sim->pf_engine().EvaluateRange(window, sim->now(), /*deadline_ms=*/1);
+  sim->pf_engine().EvaluateRange(window, sim->now(), {.deadline_ms = 1});
   EXPECT_TRUE(sim->pf_engine().ExportCacheEntries().empty());
   const QueryResult full = sim->pf_engine().EvaluateRange(window, sim->now());
 
@@ -184,7 +184,7 @@ TEST_F(DegradeTest, KnnDegradesWithTaggedQuality) {
   // best case of the (k+1)-th candidate; overlapping intervals get the
   // honest uninformative 0.5.
   const KnnResult degraded =
-      sim->pf_engine().EvaluateKnn(q, 3, sim->now(), /*deadline_ms=*/1);
+      sim->pf_engine().EvaluateKnn(q, 3, sim->now(), {.deadline_ms = 1});
   EXPECT_EQ(degraded.result.quality, QualityLevel::kPruneOnly);
   EXPECT_EQ(degraded.result.objects.size(), 3u);
   double sum = 0.0;
@@ -202,7 +202,7 @@ TEST_F(DegradeTest, KnnDegradesWithTaggedQuality) {
   // ... and with the cache it just warmed, a tight deadline one second
   // later lands on the bounded-staleness rung instead of prune-only.
   const KnnResult stale =
-      sim->pf_engine().EvaluateKnn(q, 3, sim->now() + 1, /*deadline_ms=*/1);
+      sim->pf_engine().EvaluateKnn(q, 3, sim->now() + 1, {.deadline_ms = 1});
   EXPECT_EQ(stale.result.quality, QualityLevel::kCachedStale);
 }
 

@@ -245,18 +245,22 @@ TEST_F(DeterminismTest, ExplainCollectionDoesNotPerturbAnswers) {
       // Same query sequence on both engines (cache state is part of the
       // answer); only one engine collects provenance.
       const QueryResult expected_range =
-          plain.EvaluateRange(window, now, deadline_ms);
+          plain.EvaluateRange(window, now, {.deadline_ms = deadline_ms});
       obs::QueryExplain range_explain;
       const QueryResult got_range =
-          observed.EvaluateRange(window, now, deadline_ms, &range_explain);
+          observed.EvaluateRange(
+              window, now,
+              {.deadline_ms = deadline_ms, .explain = &range_explain});
       ExpectSameResult(expected_range, got_range, "explain on, range");
       EXPECT_EQ(expected_range.quality, got_range.quality);
 
       const KnnResult expected_knn =
-          plain.EvaluateKnn(q, 3, now + 1, deadline_ms);
+          plain.EvaluateKnn(q, 3, now + 1, {.deadline_ms = deadline_ms});
       obs::QueryExplain knn_explain;
       const KnnResult got_knn =
-          observed.EvaluateKnn(q, 3, now + 1, deadline_ms, &knn_explain);
+          observed.EvaluateKnn(
+              q, 3, now + 1,
+              {.deadline_ms = deadline_ms, .explain = &knn_explain});
       ExpectSameResult(expected_knn.result, got_knn.result, "explain on, knn");
       EXPECT_EQ(expected_knn.total_probability, got_knn.total_probability);
 

@@ -1,5 +1,5 @@
-// QueryExplain provenance (obs/explain.h + query engine/scheduler
-// threading). The tests force every rung of the degradation ladder and
+// QueryExplain provenance (obs/explain.h threaded through the query
+// engine). The tests force every rung of the degradation ladder and
 // assert the record names the rung AND the budget reasoning that chose it;
 // one full record is golden-pinned as JSON so the export format cannot
 // drift silently. Collection never perturbing answers is pinned separately
@@ -16,7 +16,7 @@
 
 #include "obs/explain.h"
 #include "obs/json.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -71,7 +71,7 @@ TEST(ExplainTest, NoDeadlineExplainsFullService) {
   obs::QueryExplain e;
   const QueryResult r =
       sim->pf_engine().EvaluateRange(Window(*sim, 1), sim->now(),
-                                     /*deadline_ms=*/0, &e);
+                                     {.deadline_ms = 0, .explain = &e});
   EXPECT_EQ(r.quality, QualityLevel::kFull);
   EXPECT_EQ(e.kind, "range");
   EXPECT_EQ(e.quality, "full");
@@ -102,7 +102,7 @@ TEST(ExplainTest, GenerousDeadlineExplainsFullFits) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
   obs::QueryExplain e;
   const QueryResult r = sim->pf_engine().EvaluateRange(
-      Window(*sim, 2), sim->now(), /*deadline_ms=*/1 << 30, &e);
+      Window(*sim, 2), sim->now(), {.deadline_ms = 1 << 30, .explain = &e});
   EXPECT_EQ(r.quality, QualityLevel::kFull);
   EXPECT_EQ(e.quality, "full");
   EXPECT_EQ(e.budget_reason, "full_fits");
@@ -119,7 +119,7 @@ TEST(ExplainTest, TinyDeadlineExplainsBudgetExhausted) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
   obs::QueryExplain e;
   const QueryResult r = sim->pf_engine().EvaluateRange(
-      Window(*sim, 3), sim->now(), /*deadline_ms=*/1, &e);
+      Window(*sim, 3), sim->now(), {.deadline_ms = 1, .explain = &e});
   EXPECT_EQ(r.quality, QualityLevel::kPruneOnly);
   EXPECT_EQ(e.quality, "prune_only");
   EXPECT_EQ(e.budget_reason, "budget_exhausted");
@@ -141,7 +141,7 @@ TEST(ExplainTest, WarmCacheExplainsStaleFits) {
 
   obs::QueryExplain e;
   const QueryResult stale = sim->pf_engine().EvaluateRange(
-      window, sim->now() + 1, /*deadline_ms=*/5, &e);
+      window, sim->now() + 1, {.deadline_ms = 5, .explain = &e});
   EXPECT_EQ(stale.quality, QualityLevel::kCachedStale);
   EXPECT_EQ(e.quality, "cached_stale");
   EXPECT_EQ(e.budget_reason, "stale_fits");
@@ -165,7 +165,7 @@ TEST(ExplainTest, MidBudgetExplainsReducedFits) {
 
   obs::QueryExplain e;
   const QueryResult r = sim->pf_engine().EvaluateRange(
-      Window(*sim, 5), sim->now(), deadline_ms, &e);
+      Window(*sim, 5), sim->now(), {.deadline_ms = deadline_ms, .explain = &e});
   EXPECT_EQ(r.quality, QualityLevel::kReducedParticles);
   EXPECT_EQ(e.quality, "reduced_particles");
   EXPECT_EQ(e.budget_reason, "reduced_fits");
@@ -185,7 +185,8 @@ TEST(ExplainTest, KnnExplainCarriesDistanceIndexProvenance) {
 
   obs::QueryExplain e;
   const KnnResult r =
-      sim->pf_engine().EvaluateKnn(q, 3, sim->now(), /*deadline_ms=*/0, &e);
+      sim->pf_engine().EvaluateKnn(q, 3, sim->now(),
+                                   {.deadline_ms = 0, .explain = &e});
   EXPECT_EQ(e.kind, "knn");
   EXPECT_EQ(e.k, 3);
   EXPECT_TRUE(e.pruning_enabled);
@@ -197,7 +198,7 @@ TEST(ExplainTest, KnnExplainCarriesDistanceIndexProvenance) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler batch explains.
+// Batch explains.
 
 TEST(ExplainTest, BatchExplainsShareDecisionAndMarkDuplicates) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
@@ -210,10 +211,9 @@ TEST(ExplainTest, BatchExplainsShareDecisionAndMarkDuplicates) {
       BatchQuery::Range(window),  // Duplicate of slot 0.
   };
 
-  QueryScheduler scheduler(&sim->pf_engine());
   std::vector<obs::QueryExplain> explains;
-  const std::vector<BatchAnswer> answers = scheduler.EvaluateBatch(
-      batch, sim->now(), /*deadline_ms=*/0, &explains);
+  const std::vector<BatchAnswer> answers = sim->pf_engine().EvaluateBatch(
+      batch, sim->now(), {.deadline_ms = 0, .explains = &explains});
   ASSERT_EQ(explains.size(), batch.size());
 
   EXPECT_EQ(explains[0].kind, "range");
@@ -237,7 +237,7 @@ TEST(ExplainTest, BatchExplainsShareDecisionAndMarkDuplicates) {
 
 TEST(ExplainTest, BatchExplainsCoverEveryRung) {
   // The same deadline recipes as the serial rung tests, driven through
-  // EvaluateBatch's explicit-deadline overload. Each case gets a fresh
+  // EvaluateBatch with an explicit deadline. Each case gets a fresh
   // world so the cache state matches the serial scenarios.
   struct Case {
     const char* want_quality;
@@ -247,10 +247,10 @@ TEST(ExplainTest, BatchExplainsCoverEveryRung) {
   // kFull via no deadline.
   {
     std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
-    QueryScheduler scheduler(&sim->pf_engine());
     std::vector<obs::QueryExplain> explains;
-    scheduler.EvaluateBatch({BatchQuery::Range(Window(*sim, 10))}, sim->now(),
-                            /*deadline_ms=*/0, &explains);
+    sim->pf_engine().EvaluateBatch({BatchQuery::Range(Window(*sim, 10))},
+                                   sim->now(),
+                                   {.deadline_ms = 0, .explains = &explains});
     ASSERT_EQ(explains.size(), 1u);
     EXPECT_EQ(explains[0].quality, "full");
     EXPECT_EQ(explains[0].budget_reason, "no_deadline");
@@ -258,10 +258,10 @@ TEST(ExplainTest, BatchExplainsCoverEveryRung) {
   // kPruneOnly via a 1ms budget on a cold cache.
   {
     std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
-    QueryScheduler scheduler(&sim->pf_engine());
     std::vector<obs::QueryExplain> explains;
-    scheduler.EvaluateBatch({BatchQuery::Range(Window(*sim, 11))}, sim->now(),
-                            /*deadline_ms=*/1, &explains);
+    sim->pf_engine().EvaluateBatch({BatchQuery::Range(Window(*sim, 11))},
+                                   sim->now(),
+                                   {.deadline_ms = 1, .explains = &explains});
     ASSERT_EQ(explains.size(), 1u);
     EXPECT_EQ(explains[0].quality, "prune_only");
     EXPECT_EQ(explains[0].budget_reason, "budget_exhausted");
@@ -272,10 +272,9 @@ TEST(ExplainTest, BatchExplainsCoverEveryRung) {
     const Rect window = Window(*sim, 12);
     ASSERT_EQ(sim->pf_engine().EvaluateRange(window, sim->now()).quality,
               QualityLevel::kFull);
-    QueryScheduler scheduler(&sim->pf_engine());
     std::vector<obs::QueryExplain> explains;
-    scheduler.EvaluateBatch({BatchQuery::Range(window)}, sim->now() + 1,
-                            /*deadline_ms=*/5, &explains);
+    sim->pf_engine().EvaluateBatch({BatchQuery::Range(window)}, sim->now() + 1,
+                                   {.deadline_ms = 5, .explains = &explains});
     ASSERT_EQ(explains.size(), 1u);
     EXPECT_EQ(explains[0].quality, "cached_stale");
     EXPECT_EQ(explains[0].budget_reason, "stale_fits");
@@ -289,10 +288,10 @@ TEST(ExplainTest, BatchExplainsCoverEveryRung) {
     const int64_t deadline_ms =
         static_cast<int64_t>(FreshFullCost(*sim) * 0.6);
     ASSERT_GT(deadline_ms, 0);
-    QueryScheduler scheduler(&sim->pf_engine());
     std::vector<obs::QueryExplain> explains;
-    scheduler.EvaluateBatch({BatchQuery::Range(Window(*sim, 13))}, sim->now(),
-                            deadline_ms, &explains);
+    sim->pf_engine().EvaluateBatch(
+        {BatchQuery::Range(Window(*sim, 13))}, sim->now(),
+        {.deadline_ms = deadline_ms, .explains = &explains});
     ASSERT_EQ(explains.size(), 1u);
     EXPECT_EQ(explains[0].quality, "reduced_particles");
     EXPECT_EQ(explains[0].budget_reason, "reduced_fits");
@@ -300,7 +299,7 @@ TEST(ExplainTest, BatchExplainsCoverEveryRung) {
 }
 
 TEST(ExplainTest, BatchExplainOnOffAnswersIdentical) {
-  // Twin worlds, twin schedulers, one collects explains: answers must be
+  // Twin worlds, twin engines, one collects explains: answers must be
   // byte-identical (the batched arm of the determinism guarantee).
   std::unique_ptr<Simulation> a = FreshSim(BaseConfig());
   std::unique_ptr<Simulation> b = FreshSim(BaseConfig());
@@ -310,18 +309,42 @@ TEST(ExplainTest, BatchExplainOnOffAnswersIdentical) {
   const std::vector<BatchQuery> batch = {BatchQuery::Range(window),
                                          BatchQuery::Knn(q, 3)};
 
-  QueryScheduler plain(&a->pf_engine());
-  QueryScheduler observed(&b->pf_engine());
   const std::vector<BatchAnswer> expected =
-      plain.EvaluateBatch(batch, a->now());
+      a->pf_engine().EvaluateBatch(batch, a->now());
   std::vector<obs::QueryExplain> explains;
-  const std::vector<BatchAnswer> got = observed.EvaluateBatch(
-      batch, b->now(), b->pf_engine().config().deadline_ms, &explains);
+  const std::vector<BatchAnswer> got = b->pf_engine().EvaluateBatch(
+      batch, b->now(), {.explains = &explains});
 
   ASSERT_EQ(expected.size(), got.size());
   EXPECT_EQ(expected[0].range.objects, got[0].range.objects);
   EXPECT_EQ(expected[1].knn.result.objects, got[1].knn.result.objects);
   EXPECT_EQ(expected[1].knn.total_probability, got[1].knn.total_probability);
+}
+
+TEST(ExplainTest, BatchPruneOnlyKnnReportsTheDistanceRowsItRead) {
+  // Pruning off: kNN pruning reads no distance row, but the prune-only
+  // fallback ranks candidates by network distance and reads one row per
+  // distinct query. Each record reports the slack its row carried, and
+  // the batch's two lookups.
+  std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
+  Rng rng(21);
+  const Point a = Experiment::RandomIndoorPoint(sim->anchors(), rng);
+  const Point b = Experiment::RandomIndoorPoint(sim->anchors(), rng);
+  ASSERT_FALSE(a.x == b.x && a.y == b.y);
+
+  std::vector<obs::QueryExplain> explains;
+  const std::vector<BatchAnswer> answers = sim->pf_engine().EvaluateBatch(
+      {BatchQuery::Knn(a, 3), BatchQuery::Knn(b, 3)}, sim->now(),
+      {.deadline_ms = 1, .explains = &explains});
+  ASSERT_EQ(explains.size(), 2u);
+  for (size_t i = 0; i < explains.size(); ++i) {
+    EXPECT_EQ(answers[i].knn.result.quality, QualityLevel::kPruneOnly);
+    EXPECT_EQ(explains[i].quality, "prune_only");
+    EXPECT_FALSE(explains[i].pruning_enabled);
+    EXPECT_GE(explains[i].dindex_slack, 0.0) << "slot " << i;
+    EXPECT_EQ(explains[i].dindex_hits + explains[i].dindex_misses, 2)
+        << "slot " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +354,7 @@ TEST(ExplainTest, JsonParsesAndCarriesTheDecisionPaths) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
   obs::QueryExplain e;
   sim->pf_engine().EvaluateRange(Window(*sim, 20), sim->now(),
-                                 /*deadline_ms=*/1, &e);
+                                 {.deadline_ms = 1, .explain = &e});
 
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(e.ToJson());
   ASSERT_TRUE(doc.has_value());
@@ -360,7 +383,7 @@ TEST(ExplainTest, GoldenRecordPinsTheExportFormat) {
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig());
   obs::QueryExplain e;
   sim->pf_engine().EvaluateRange(Window(*sim, 30), sim->now(),
-                                 /*deadline_ms=*/1 << 20, &e);
+                                 {.deadline_ms = 1 << 20, .explain = &e});
   const std::string got = e.ToJson(/*include_timings=*/false) + "\n";
 
   const std::string path =
@@ -385,10 +408,10 @@ TEST(ExplainTest, WriteExplainsJsonIsAnArrayOfRecords) {
   // Cold-cache tiny budget first (prune_only), then unlimited (full);
   // the other order would warm the cache and turn the second record into
   // a stale serve.
-  sim->pf_engine().EvaluateRange(Window(*sim, 31), sim->now(), 1,
-                                 &explains[0]);
-  sim->pf_engine().EvaluateRange(Window(*sim, 32), sim->now(), 0,
-                                 &explains[1]);
+  sim->pf_engine().EvaluateRange(Window(*sim, 31), sim->now(),
+                                 {.deadline_ms = 1, .explain = &explains[0]});
+  sim->pf_engine().EvaluateRange(Window(*sim, 32), sim->now(),
+                                 {.deadline_ms = 0, .explain = &explains[1]});
   std::ostringstream os;
   obs::WriteExplainsJson(os, explains);
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(os.str());

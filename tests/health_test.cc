@@ -17,7 +17,7 @@
 #include "filter/particle_filter.h"
 #include "health/reader_health.h"
 #include "query/query_engine.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 #include "rfid/data_collector.h"
 #include "sim/simulation.h"
 
@@ -628,8 +628,7 @@ TEST_F(HealthWorld, SchedulerAnnotatesBatchSlotsLikeTheSerialPath) {
   const QueryResult serial_range = engine.EvaluateRange(over, now);
   const KnnResult serial_knn = engine.EvaluateKnn(q, 3, now);
 
-  QueryScheduler scheduler(&engine);
-  const std::vector<BatchAnswer> batch = scheduler.EvaluateBatch(
+  const std::vector<BatchAnswer> batch = engine.EvaluateBatch(
       {BatchQuery::Range(over), BatchQuery::Knn(q, 3)}, now);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].range.coverage_degraded, serial_range.coverage_degraded);

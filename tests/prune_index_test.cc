@@ -17,7 +17,6 @@
 #include "graph/shortest_path.h"
 #include "obs/metrics.h"
 #include "query/query_engine.h"
-#include "query/query_scheduler.h"
 #include "query/subscription.h"
 #include "query/uncertain_region.h"
 #include "sim/experiment.h"
@@ -204,10 +203,10 @@ struct SubscriptionCounts {
 
 // Ticks `manager` at the simulation's now and checks every evaluated,
 // settled subscription's next_expand (and the candidates and f it was
-// derived from, recomputed by a twin engine's scheduler) against the scan.
+// derived from, recomputed by a twin engine's batch) against the scan.
 void TickAndCheckSubscriptions(const Simulation& sim,
                                SubscriptionManager& manager,
-                               QueryScheduler& twin,
+                               QueryEngine& twin,
                                const std::vector<BatchQuery>& queries,
                                SubscriptionCounts* counts,
                                const std::string& label) {
@@ -216,7 +215,7 @@ void TickAndCheckSubscriptions(const Simulation& sim,
   const Deployment& deployment = sim.deployment();
   const SubscriptionTickResult tick = manager.Tick(now);
   std::vector<BatchSlotDetail> details;
-  twin.EvaluateBatch(queries, now, /*deadline_ms=*/0, nullptr, &details);
+  twin.EvaluateBatch(queries, now, {.deadline_ms = 0, .details = &details});
   ASSERT_EQ(details.size(), queries.size());
   for (const SubscriptionUpdate& u : tick.updates) {
     const BatchQuery& q = queries[static_cast<size_t>(u.id)];
@@ -291,9 +290,8 @@ TEST(PruneIndexTest, MatchesScanAcrossFaultAndThreadWorlds) {
                                        kThreads[v], max_coast);
     QueryEngine lr_engine =
         MakeEngine(*sim, InferenceMethod::kLastReading, 1, max_coast);
-    QueryEngine twin_engine =
+    QueryEngine twin =
         MakeEngine(*sim, InferenceMethod::kLastReading, 1, max_coast);
-    QueryScheduler twin(&twin_engine);
     SubscriptionManager pf(&pf_engine, SubscriptionManagerConfig{});
     SubscriptionManager lr(&lr_engine, SubscriptionManagerConfig{});
     std::vector<BatchQuery> queries;

@@ -1,7 +1,7 @@
-// QueryScheduler: batched serving must be invisible in the answers.
-// Every test compares against plain per-query QueryEngine evaluation on a
+// QueryEngine::EvaluateBatch: batched serving must be invisible in the
+// answers. Every test compares against plain per-query evaluation on a
 // twin simulation — same seeds, same faulted reading stream — so any
-// divergence is the scheduler's fault, not the world's.
+// divergence is the batch path's fault, not the world's.
 
 #include <algorithm>
 #include <cstdint>
@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -75,7 +75,7 @@ void ExpectMatchesSerial(const BatchAnswer& got, const BatchQuery& q,
 class SchedulerThreadsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SchedulerThreadsTest, ShuffledBatchMatchesSerialByteForByte) {
-  // One sim serves the batch (shuffled, through the scheduler), its twin
+  // One sim serves the batch (shuffled, in one EvaluateBatch), its twin
   // answers the same queries one at a time in the original order. Every
   // answer must agree bit-for-bit: batching and batch order change how
   // much work is done, never what any query answers.
@@ -88,8 +88,8 @@ TEST_P(SchedulerThreadsTest, ShuffledBatchMatchesSerialByteForByte) {
   std::vector<BatchQuery> shuffled = batch;
   std::reverse(shuffled.begin(), shuffled.end());
 
-  QueryScheduler scheduler(&batch_sim->pf_engine());
-  const std::vector<BatchAnswer> answers = scheduler.EvaluateBatch(shuffled, now);
+  const std::vector<BatchAnswer> answers =
+      batch_sim->pf_engine().EvaluateBatch(shuffled, now);
   ASSERT_EQ(answers.size(), shuffled.size());
   for (size_t i = 0; i < shuffled.size(); ++i) {
     ExpectMatchesSerial(answers[i], shuffled[i], serial_sim->pf_engine(), now);
@@ -109,8 +109,8 @@ TEST(SchedulerTest, DuplicateQueriesCollapseToOneEvaluation) {
   const Rect window =
       Experiment::RandomWindow(sim->plan(), 0.05, sim->query_rng());
   const std::vector<BatchQuery> batch(6, BatchQuery::Range(window));
-  QueryScheduler scheduler(&sim->pf_engine());
-  const std::vector<BatchAnswer> answers = scheduler.EvaluateBatch(batch, now);
+  const std::vector<BatchAnswer> answers =
+      sim->pf_engine().EvaluateBatch(batch, now);
 
   EXPECT_EQ(registry.GetCounter("pf.qps.queries")->Value(), 6);
   EXPECT_EQ(registry.GetCounter("pf.qps.duplicate_queries")->Value(), 5);
@@ -118,6 +118,40 @@ TEST(SchedulerTest, DuplicateQueriesCollapseToOneEvaluation) {
   for (const BatchAnswer& a : answers) {
     EXPECT_EQ(a.range.objects, answers[0].range.objects);
   }
+}
+
+TEST(SchedulerTest, SerialCallsCountAsBatchesOfOne) {
+  // A single range/kNN call runs the batch pipeline on a batch of one, so
+  // the qps.* counters see it: qps.candidate_slots sums the pruning
+  // survivors each query's explain reports.
+  obs::MetricsRegistry registry;
+  SimulationConfig config = BaseConfig(1);
+  config.metrics = &registry;
+  std::unique_ptr<Simulation> sim = FreshSim(config);
+  const int64_t now = sim->now();
+
+  constexpr int kQueries = 6;
+  int64_t survivors = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    obs::QueryExplain e;
+    if (i % 2 == 0) {
+      sim->pf_engine().EvaluateRange(
+          Experiment::RandomWindow(sim->plan(), 0.05, sim->query_rng()), now,
+          {.explain = &e});
+    } else {
+      sim->pf_engine().EvaluateKnn(
+          Experiment::RandomIndoorPoint(sim->anchors(), sim->query_rng()), 3,
+          now, {.explain = &e});
+    }
+    EXPECT_FALSE(e.batched);
+    survivors += e.candidates;
+  }
+  EXPECT_GT(survivors, 0);
+  EXPECT_EQ(registry.GetCounter("pf.qps.candidate_slots")->Value(), survivors);
+  EXPECT_EQ(registry.GetCounter("pf.qps.unique_candidates")->Value(),
+            survivors);
+  EXPECT_EQ(registry.GetCounter("pf.qps.batches")->Value(), kQueries);
+  EXPECT_EQ(registry.GetCounter("pf.qps.queries")->Value(), kQueries);
 }
 
 TEST(SchedulerTest, DeadlineBudgetChargedPerUniqueObjectNotPerQuery) {
@@ -131,17 +165,16 @@ TEST(SchedulerTest, DeadlineBudgetChargedPerUniqueObjectNotPerQuery) {
   ASSERT_GT(cost, 0);
 
   // ... then serve EIGHT copies of it under a deadline whose work budget
-  // covers ~1.5 evaluations. The scheduler charges the union of candidate
-  // sets once, so the batch stays at full quality; a scheduler that
+  // covers ~1.5 evaluations. The batch charges the union of candidate
+  // sets once, so it stays at full quality; a batch path that
   // charged per query (8x the cost) would have to degrade.
   std::unique_ptr<Simulation> sim = FreshSim(BaseConfig(1));
   const double per_ms = sim->config().degrade.filter_seconds_per_ms;
   const int64_t deadline_ms =
       static_cast<int64_t>(1.5 * static_cast<double>(cost) / per_ms) + 1;
   const std::vector<BatchQuery> batch(8, BatchQuery::Knn(q, 3));
-  QueryScheduler scheduler(&sim->pf_engine());
   const std::vector<BatchAnswer> answers =
-      scheduler.EvaluateBatch(batch, now, deadline_ms);
+      sim->pf_engine().EvaluateBatch(batch, now, {.deadline_ms = deadline_ms});
   for (const BatchAnswer& a : answers) {
     EXPECT_EQ(a.knn.result.quality, QualityLevel::kFull);
     EXPECT_EQ(a.knn.result.objects, want.result.objects);

@@ -24,7 +24,7 @@
 #include "obs/slo.h"
 #include "persist/checkpoint.h"
 #include "persist/io_util.h"
-#include "query/query_scheduler.h"
+#include "query/query_engine.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -50,7 +50,9 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"<engine>.engine.objects_considered",
        "Known objects examined per query, before pruning."},
       {"<engine>.engine.candidates_inferred",
-       "Objects that survived pruning and were (or would be) inferred."},
+       "Per-object inference calls (objects already memoized at the query "
+       "timestamp are not re-inferred; survivors of pruning are "
+       "qps.candidate_slots)."},
       {"<engine>.engine.filter_runs",
        "Cold particle-filter runs (no resumable cached state)."},
       {"<engine>.engine.filter_resumes",
@@ -111,13 +113,14 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"<engine>.pool.steals", "Tasks stolen across worker queues."},
       {"<engine>.pool.queue_depth", "Tasks queued and not yet run (gauge)."},
       {"<engine>.pool.wait_ns", "Task queue wait time."},
-      // Query scheduler (registered when batching is used).
+      // Query batches (a single range/kNN call is a batch of one).
       {"<engine>.qps.batches", "Query batches served."},
       {"<engine>.qps.queries", "Queries submitted through batches."},
       {"<engine>.qps.duplicate_queries",
        "Batch slots deduplicated against an identical earlier query."},
       {"<engine>.qps.candidate_slots",
-       "Candidate-set sizes summed over distinct batch queries."},
+       "Candidate-set sizes (pruning survivors) summed over distinct "
+       "queries."},
       {"<engine>.qps.unique_candidates",
        "Unique objects per batch after merging candidate sets."},
       {"<engine>.qps.batch_size", "Batch size distribution."},
@@ -215,8 +218,7 @@ bool RegisterEverything(ipqs::obs::MetricsRegistry* registry) {
   const Rect window = s.plan().BoundingBox();
   (void)s.pf_engine().EvaluateRange(window, s.now());
   (void)s.pf_engine().EvaluateKnn({1.0, 1.0}, 3, s.now());
-  QueryScheduler scheduler(&s.pf_engine());
-  (void)scheduler.EvaluateBatch({BatchQuery::Range(window)}, s.now());
+  (void)s.pf_engine().EvaluateBatch({BatchQuery::Range(window)}, s.now());
   (void)persist::PersistMetrics::FromRegistry(registry);
   return true;
 }

@@ -34,7 +34,7 @@
 // text file in the floorplan/io.h format instead of the generated office.
 //
 // Query serving: --batch_queries=true serves each timestamp's queries as
-// one QueryScheduler batch per engine (shared pruning tables, one
+// one QueryEngine::EvaluateBatch per engine (shared pruning tables, one
 // inference pass over the union of candidates) — answers are
 // byte-identical to serial serving, only throughput changes.
 //
