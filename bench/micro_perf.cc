@@ -98,27 +98,42 @@ void BM_ShortestPath(benchmark::State& state) {
 BENCHMARK(BM_ShortestPath);
 
 // ---------------------------------------------------------------------------
-// Filter stage benchmarks: the three inner stages of Algorithm 2 (predict,
-// weight, resample) measured in isolation at filter-realistic particle
-// counts. `items_per_second` is particle-stage-steps per second; these
-// rows back the SoA-kernel speedup claims and feed the perf-regression
-// guard (scripts/check_perf.py) via the IPQS_BENCH_JSON output.
+// Filter stage benchmarks: the inner stages of Algorithm 2 (predict,
+// weight, resample, roughen) plus the per-inference work around them
+// (stream setup, initialization, snap), measured in isolation at
+// filter-realistic particle counts. `items_per_second` is particle-stage
+// steps per second; the stage rows feed the perf-regression guard
+// (scripts/check_perf.py) via the IPQS_BENCH_JSON output, and their sum is
+// what BM_FilterRun is compared against.
 
 constexpr int kStageSteps = 16;  // Simulated seconds per timed iteration.
 
-void BM_PredictStage(benchmark::State& state) {
-  Simulation& sim = World();
+// The initial cloud every stage benchmark starts from: Ns particles at
+// reader 2 of the shared world.
+ParticleSoA StageCloud(const ParticleFilter& filter, uint64_t seed) {
+  Rng rng(seed);
+  ParticleSoA cloud;
+  filter.InitializeAtReader(2, rng, &cloud);
+  return cloud;
+}
+
+FilterConfig StageConfig(const benchmark::State& state) {
   FilterConfig config;
   config.num_particles = static_cast<int>(state.range(0));
-  const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
-  Rng init_rng(11);
-  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  return config;
+}
+
+void BM_PredictStage(benchmark::State& state) {
+  Simulation& sim = World();
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  const ParticleSoA base = StageCloud(filter, 11);
   const MotionModel& motion = filter.motion_model();
   const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
   ParticleSoA soa;
   FilterArena arena;
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     Rng rng(12);
     for (int s = 0; s < kStageSteps; ++s) {
       motion.StepAll(sim.graph(), edges, &soa, &arena, 1.0, rng);
@@ -132,18 +147,16 @@ BENCHMARK(BM_PredictStage)->Arg(64)->Arg(1024);
 
 void BM_WeightStage(benchmark::State& state) {
   Simulation& sim = World();
-  FilterConfig config;
-  config.num_particles = static_cast<int>(state.range(0));
-  const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
-  Rng init_rng(13);
-  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  const ParticleSoA base = StageCloud(filter, 13);
   const MeasurementModel& meas = filter.measurement_model();
   constexpr ReaderId kDetector = 2;
   const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
   ParticleSoA soa;
   FilterArena arena;
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     const size_t n = soa.size();
     arena.x.resize(n);
     arena.y.resize(n);
@@ -168,29 +181,25 @@ BENCHMARK(BM_WeightStage)->Arg(64)->Arg(1024);
 
 void BM_ResampleStage(benchmark::State& state) {
   Simulation& sim = World();
-  FilterConfig config;
-  config.num_particles = static_cast<int>(state.range(0));
-  const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
-  Rng init_rng(17);
-  std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  ParticleSoA base = StageCloud(filter, 17);
   {
     // Non-uniform weights so resampling actually reshuffles the set.
     Rng wrng(19);
-    for (Particle& p : base) p.weight = wrng.Uniform(0.01, 1.0);
+    for (double& w : base.weight) w = wrng.Uniform(0.01, 1.0);
     NormalizeWeights(&base);
   }
   Rng rng(23);
   ParticleSoA soa;
   FilterArena arena;
-  std::vector<double> base_weights;
-  for (const Particle& p : base) base_weights.push_back(p.weight);
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     for (int s = 0; s < kStageSteps; ++s) {
       SystematicResample(&soa, &arena, rng);
       // Restore the skewed (pre-normalized) weights so every round does
       // real selection work.
-      soa.weight = base_weights;
+      soa.weight = base.weight;
     }
     benchmark::DoNotOptimize(soa.weight.data());
   }
@@ -199,17 +208,92 @@ void BM_ResampleStage(benchmark::State& state) {
 }
 BENCHMARK(BM_ResampleStage)->Arg(64)->Arg(1024);
 
-void BM_Resample(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<Particle> base(state.range(0));
-  for (size_t i = 0; i < base.size(); ++i) {
-    base[i].loc = GraphLocation{0, 0.1};
-    base[i].weight = rng.Uniform(0.01, 1.0);
+void BM_RoughenStage(benchmark::State& state) {
+  Simulation& sim = World();
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  const ParticleSoA base = StageCloud(filter, 29);
+  const MotionModel& motion = filter.motion_model();
+  const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
+  Rng rng(31);
+  ParticleSoA soa;
+  FilterArena arena;
+  for (auto _ : state) {
+    soa = base;
+    for (int s = 0; s < kStageSteps; ++s) {
+      motion.RoughenAll(edges, &soa, &arena, rng);
+    }
+    benchmark::DoNotOptimize(soa.offset.data());
+    benchmark::DoNotOptimize(soa.speed.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kStageSteps *
+                          static_cast<int64_t>(base.size()));
+}
+BENCHMARK(BM_RoughenStage)->Arg(64);
+
+void BM_SnapStage(benchmark::State& state) {
+  Simulation& sim = World();
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  // A coasted cloud, spread over several edges as a real state is.
+  ParticleSoA cloud = StageCloud(filter, 37);
+  {
+    FilterArena arena;
+    const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
+    Rng rng(41);
+    for (int s = 0; s < 10; ++s) {
+      filter.motion_model().StepAll(sim.graph(), edges, &cloud, &arena, 1.0,
+                                    rng);
+    }
   }
   for (auto _ : state) {
-    std::vector<Particle> particles = base;
-    SystematicResample(&particles, rng);
-    benchmark::DoNotOptimize(particles);
+    benchmark::DoNotOptimize(
+        AnchorDistribution::FromParticles(sim.anchors(), cloud));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cloud.size()));
+}
+BENCHMARK(BM_SnapStage)->Arg(64);
+
+// Per-inference stream setup: seeding the (seed, object, time) generator
+// and taking its first draw, which pays the engine's first refill.
+void BM_StreamSetup(benchmark::State& state) {
+  uint64_t object = 0;
+  for (auto _ : state) {
+    Rng rng = Rng::ForStream(1, ++object, 500);
+    benchmark::DoNotOptimize(rng.Uniform01());
+  }
+}
+BENCHMARK(BM_StreamSetup);
+
+void BM_InitializeAtReader(benchmark::State& state) {
+  Simulation& sim = World();
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(),
+                              StageConfig(state));
+  Rng rng(43);
+  ParticleSoA cloud;
+  for (auto _ : state) {
+    filter.InitializeAtReader(2, rng, &cloud);
+    benchmark::DoNotOptimize(cloud.offset.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_InitializeAtReader)->Arg(64);
+
+void BM_Resample(benchmark::State& state) {
+  Rng rng(1);
+  ParticleSoA base;
+  base.Resize(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < base.size(); ++i) {
+    base.Set(i, Particle{.loc = {0, 0.1}, .weight = rng.Uniform(0.01, 1.0)});
+  }
+  ParticleSoA particles;
+  FilterArena arena;
+  for (auto _ : state) {
+    particles = base;
+    NormalizeWeights(&particles);
+    SystematicResample(&particles, &arena, rng);
+    benchmark::DoNotOptimize(particles.edge.data());
   }
 }
 BENCHMARK(BM_Resample)->Arg(64)->Arg(512)->Arg(4096);
@@ -225,11 +309,18 @@ void BM_FilterRun(benchmark::State& state) {
 
   FilterConfig config;
   config.num_particles = static_cast<int>(state.range(0));
-  const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
+  ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
+  // Re-seeds replace a second's resample + roughen with an initialization;
+  // reported so the run's composition from stage probes can be checked.
+  obs::Counter reseeds;
+  filter.SetMetrics(FilterMetrics{.reseeds = &reseeds});
   Rng rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(filter.Run(history, 140, rng));
   }
+  state.counters["reseeds"] =
+      benchmark::Counter(static_cast<double>(reseeds.Value()),
+                         benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FilterRun)->Arg(16)->Arg(64)->Arg(256);
 

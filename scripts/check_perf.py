@@ -5,16 +5,17 @@ Compares a freshly produced google-benchmark JSON (micro_perf run with
 IPQS_BENCH_JSON or --benchmark_out) against the committed baseline in
 results/BENCH_micro_perf.json and fails when any guarded benchmark's
 `items_per_second` drops more than --tolerance (default 10%) below the
-baseline. Only the filter stage benchmarks (predict / weight / resample)
-are guarded by default: they are single-threaded, allocation-free after
-warm-up, and were measured stable enough for a 10% gate; the whole-system
-benchmarks drift too much with world size to gate on.
+baseline. Only the filter stage benchmarks (predict / weight / resample /
+roughen / snap) are guarded by default: they are single-threaded,
+allocation-free after warm-up, and were measured stable enough for a 10%
+gate; the whole-system benchmarks drift too much with world size to gate
+on.
 
 Faster-than-baseline results pass silently — refresh the baseline by
 committing the new JSON when a deliberate optimization lands:
 
   IPQS_FAST=1 IPQS_BENCH_JSON=results build/bench/micro_perf \\
-      --benchmark_filter='BM_(Predict|Weight|Resample)Stage' \\
+      --benchmark_filter='BM_(Predict|Weight|Resample|Roughen|Snap)Stage' \\
       --benchmark_min_time=0.5
 
 Usage:
@@ -27,7 +28,7 @@ import pathlib
 import re
 import sys
 
-DEFAULT_GUARDED = r"^BM_(Predict|Weight|Resample)Stage/"
+DEFAULT_GUARDED = r"^BM_(Predict|Weight|Resample|Roughen|Snap)Stage/"
 
 
 def load_items_per_second(path, pattern):

@@ -6,8 +6,9 @@
     python3 scripts/micro_table.py results/BENCH_micro_perf_all.json
 
 The first table lists the whole-system rows; the second the candidate
-pruning rows at 1000 and 10000 objects with their 1000 -> 10000 ratio.
-Every number comes from the JSON; nothing is typed by hand.
+pruning rows at 1000 and 10000 objects with their 1000 -> 10000 ratio;
+the third the filter's stage probes at 64 particles next to the full run
+they compose. Every number comes from the JSON; nothing is typed by hand.
 """
 
 import json
@@ -31,6 +32,22 @@ PRUNE = [
     ("BM_PruneRange", "range pruning (2 % window)"),
     ("BM_PruneKnn", "kNN pruning (k=3)"),
     ("BM_PruneIndexRebuild", "one reading + index rebuild"),
+]
+
+# Filter stage probes at 64 particles: (benchmark, calls per timed
+# iteration, label, calls per BM_FilterRun/64). The stage benchmarks time
+# 16 simulated seconds per iteration. BM_FilterRun/64 replays readings at
+# t = 100-103 and 112-115 and coasts to 140: one initialization, 40
+# predict steps and 7 detection seconds, each weighted, resampled and
+# roughened.
+STAGES = [
+    ("BM_StreamSetup", 1, "stream setup (seed + first draw)", 0),
+    ("BM_InitializeAtReader/64", 1, "initialize at a reader", 1),
+    ("BM_PredictStage/64", 16, "predict (one second)", 40),
+    ("BM_WeightStage/64", 16, "weight (positions + reweight + normalize)", 7),
+    ("BM_ResampleStage/64", 16, "resample (systematic)", 7),
+    ("BM_RoughenStage/64", 16, "roughen (128 Gaussian draws)", 7),
+    ("BM_SnapStage/64", 1, "snap to anchors", 0),
 ]
 
 TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -76,6 +93,20 @@ def main():
         print("| %s | %s | %s | %.1fx | %s |" % (
             label, fmt(ns(small)), fmt(ns(large)), ns(large) / ns(small),
             cand))
+    print()
+    print("| filter stage (64 particles) | per call | calls per full run "
+          "| share of full run |")
+    print("|---|---|---|---|")
+    run = ns("BM_FilterRun/64")
+    summed = 0.0
+    for name, per_iter, label, calls in STAGES:
+        per_call = ns(name) / per_iter
+        summed += per_call * calls
+        print("| %s | %s | %d | %s |" % (
+            label, fmt(per_call), calls,
+            "%.0f %%" % (100 * per_call * calls / run) if calls else "—"))
+    print("| **full run (`BM_FilterRun/64`)** | **%s** | — | %.1fx the "
+          "summed stages (%s) |" % (fmt(run), run / summed, fmt(summed)))
 
 
 if __name__ == "__main__":

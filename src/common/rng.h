@@ -7,6 +7,39 @@
 
 namespace ipqs {
 
+// std::mt19937_64, bit for bit: the same seeding recurrence, twist and
+// tempering, so every output (and every <random> distribution drawn from
+// it) equals the standard engine's (RngTest.EngineMatchesStdMt19937_64).
+// The twist is written branch-free: libstdc++ selects the twist constant
+// with a branch on a random bit, which mispredicts on half the state
+// words of every refill.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateWords = 312;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed);
+
+  result_type operator()() {
+    if (next_ >= kStateWords) {
+      Twist();
+    }
+    result_type z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  void Twist();
+
+  result_type state_[kStateWords];
+  size_t next_ = kStateWords;  // Drawing from a fresh engine twists first.
+};
+
 // Deterministic random number generator shared by every stochastic component
 // in the library (particle motion, sensing noise, trace generation, ...).
 //
@@ -66,13 +99,13 @@ class Rng {
 
   // UniformRandomBitGenerator interface so <random> distributions and
   // std::shuffle can consume this directly.
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
+  using result_type = Mt19937_64::result_type;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
   result_type operator()() { return engine_(); }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace ipqs

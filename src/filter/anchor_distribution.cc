@@ -8,18 +8,39 @@
 namespace ipqs {
 
 AnchorDistribution AnchorDistribution::FromParticles(
-    const AnchorPointIndex& index, const std::vector<Particle>& particles) {
-  std::map<AnchorId, double> mass;
+    const AnchorPointIndex& index, const ParticleSoA& particles) {
+  // Flat per-thread accumulator: slot[a] is anchor a's position in `mass`
+  // while this call runs and -1 otherwise (every touched slot is reset
+  // before returning), so a snap is one pass over the particles plus a
+  // sort of the touched anchors, and allocates only the result.
+  thread_local std::vector<int32_t> slot;
+  thread_local std::vector<std::pair<AnchorId, double>> mass;
+  const size_t num_anchors = static_cast<size_t>(index.num_anchors());
+  if (slot.size() < num_anchors) {
+    slot.resize(num_anchors, -1);
+  }
+  mass.clear();
   double total = 0.0;
-  for (const Particle& p : particles) {
-    const AnchorId ap = index.NearestOnEdge(p.loc);
-    mass[ap] += p.weight;
-    total += p.weight;
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const AnchorId ap =
+        index.NearestOnEdge({particles.edge[i], particles.offset[i]});
+    int32_t& s = slot[ap];
+    if (s < 0) {
+      s = static_cast<int32_t>(mass.size());
+      mass.emplace_back(ap, 0.0);
+    }
+    mass[s].second += particles.weight[i];
+    total += particles.weight[i];
+  }
+  for (const auto& [anchor, _] : mass) {
+    slot[anchor] = -1;
   }
   AnchorDistribution dist;
   if (total <= 0.0) {
     return dist;
   }
+  std::sort(mass.begin(), mass.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   dist.entries_.reserve(mass.size());
   for (const auto& [anchor, m] : mass) {
     dist.entries_.emplace_back(anchor, m / total);

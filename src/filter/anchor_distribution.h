@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "filter/particle.h"
+#include "filter/particle_soa.h"
 #include "graph/anchor_points.h"
 #include "rfid/reader.h"
 
@@ -19,9 +19,11 @@ class AnchorDistribution {
   AnchorDistribution() = default;
 
   // Snaps every particle to its nearest anchor point on the same edge and
-  // accumulates weight mass per anchor (Algorithm 2, lines 32-36).
+  // accumulates weight mass per anchor (Algorithm 2, lines 32-36). Each
+  // anchor's mass is summed in particle order, and the total in particle
+  // order too.
   static AnchorDistribution FromParticles(const AnchorPointIndex& index,
-                                          const std::vector<Particle>& particles);
+                                          const ParticleSoA& particles);
 
   // Uniform distribution over the given anchor points (the symbolic model's
   // "uniform over all reachable locations").

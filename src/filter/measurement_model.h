@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "filter/particle.h"
 #include "geom/point.h"
 #include "rfid/deployment.h"
 

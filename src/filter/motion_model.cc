@@ -31,18 +31,19 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
   slow.resize(n);
   // Pass 1 — branchless sweep over the flat arrays. A hallway particle
   // that will not reach its heading node this step advances in place; the
-  // arithmetic is exactly Step's first loop iteration (same expressions,
-  // same order), and no randomness is consumed. Everything else (parked in
-  // a room, or crossing a node) is deferred. The data-dependent decisions
-  // compile to conditional moves — the crossing pattern is effectively
-  // random, so branches here would mispredict: the offset write-back
-  // stores the (bit-identical) old value for deferred particles, and the
-  // slow list grows by unconditional store + conditional bump.
+  // arithmetic is exactly the first iteration of pass 2's walk loop (same
+  // expressions, same order), and no randomness is consumed. Everything
+  // else (parked in a room, or crossing a node) is deferred. The
+  // data-dependent decisions compile to conditional moves — the crossing
+  // pattern is effectively random, so branches here would mispredict: the
+  // offset write-back stores the (bit-identical) old value for deferred
+  // particles, and the slow list grows by unconditional store +
+  // conditional bump.
   size_t num_slow = 0;
   for (size_t i = 0; i < n; ++i) {
     const bool room = soa->in_room[i] != 0;
     const double remaining = soa->speed[i] * dt;
-    // Step's loop guard: remaining <= 1e-12 is a no-op step, no draws.
+    // Pass 2's loop guard: remaining <= 1e-12 is a no-op step, no draws.
     const bool moving = remaining > 1e-12;
     const EdgeId e = soa->edge[i];
     const double target =
@@ -56,12 +57,9 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
     num_slow += deferred ? 1 : 0;
   }
   slow.resize(num_slow);
-  // Pass 2 — scalar fallback over the deferred particles, in ascending
-  // index order. This is Step's logic verbatim on the flat arrays (same
-  // expressions, same order, same draws under the same conditions), so the
-  // rng sequence and every stored value stay byte-identical to running
-  // per-particle Step; only the Particle round-trip through Get/Set is
-  // gone. These are the only particles that draw from `rng`.
+  // Pass 2 — the full scalar step over the deferred particles, in
+  // ascending index order. These are the only particles that draw from
+  // `rng`, so the draw sequence is the per-particle one.
   for (const uint32_t i : slow) {
     EdgeId e = soa->edge[i];
     NodeId heading = soa->heading[i];
@@ -106,50 +104,38 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
   }
 }
 
-void MotionModel::Roughen(const WalkingGraph& graph, Particle* p,
-                          Rng& rng) const {
-  if (config_.position_jitter > 0.0 && !p->in_room) {
-    const Edge& e = graph.edge(p->loc.edge);
-    p->loc.offset =
-        std::clamp(p->loc.offset + rng.Gaussian(0.0, config_.position_jitter),
-                   0.0, e.length);
-  }
-  if (config_.speed_jitter > 0.0) {
-    p->speed = std::max(p->speed + rng.Gaussian(0.0, config_.speed_jitter),
-                        config_.min_speed);
-  }
-}
-
 void MotionModel::RoughenAll(const EdgeSoA& edges, ParticleSoA* soa,
-                             Rng& rng) const {
+                             FilterArena* arena, Rng& rng) const {
   const size_t n = soa->size();
   const bool jitter_pos = config_.position_jitter > 0.0;
   const bool jitter_speed = config_.speed_jitter > 0.0;
   if (!jitter_pos && !jitter_speed) {
     return;
   }
+  size_t num_draws = 0;
+  for (size_t i = 0; i < n; ++i) {
+    num_draws += (jitter_pos && !soa->in_room[i] ? 1 : 0) +
+                 (jitter_speed ? 1 : 0);
+  }
+  // One batch of standard normals, consumed in the per-particle draw
+  // order. Gaussian(0, s) returns z * s + 0.0 for the same standard draw
+  // z, so scaling here is bit-identical to per-draw Gaussian calls.
+  std::vector<double>& z = arena->draws;
+  z.resize(num_draws);
+  rng.GaussianBatch(0.0, 1.0, num_draws, z.data());
+  size_t k = 0;
   for (size_t i = 0; i < n; ++i) {
     if (jitter_pos && !soa->in_room[i]) {
-      soa->offset[i] = std::clamp(
-          soa->offset[i] + rng.Gaussian(0.0, config_.position_jitter), 0.0,
-          edges.length[soa->edge[i]]);
+      soa->offset[i] =
+          std::clamp(soa->offset[i] + (z[k++] * config_.position_jitter + 0.0),
+                     0.0, edges.length[soa->edge[i]]);
     }
     if (jitter_speed) {
       soa->speed[i] =
-          std::max(soa->speed[i] + rng.Gaussian(0.0, config_.speed_jitter),
+          std::max(soa->speed[i] + (z[k++] * config_.speed_jitter + 0.0),
                    config_.min_speed);
     }
   }
-}
-
-void MotionModel::WidenPosition(const WalkingGraph& graph, Particle* p,
-                                double sigma, Rng& rng) const {
-  if (sigma <= 0.0 || p->in_room) {
-    return;
-  }
-  const Edge& e = graph.edge(p->loc.edge);
-  p->loc.offset =
-      std::clamp(p->loc.offset + rng.Gaussian(0.0, sigma), 0.0, e.length);
 }
 
 void MotionModel::WidenPositionAll(const EdgeSoA& edges, ParticleSoA* soa,
@@ -234,54 +220,6 @@ EdgeId MotionModel::ChooseNextEdge(const WalkingGraph& graph, NodeId node,
   }
   return NthCandidate(graph, node, incoming, /*want_stub=*/false,
                       rng.UniformIndex(num_hallways));
-}
-
-void MotionModel::Step(const WalkingGraph& graph, Particle* p, double dt,
-                       Rng& rng) const {
-  IPQS_DCHECK(p->loc.edge != kInvalidId);
-
-  if (p->in_room) {
-    if (!rng.Bernoulli(config_.room_exit_probability)) {
-      return;  // Keeps dwelling this second.
-    }
-    // Walk back out: the particle sits at the room-center end of a stub.
-    p->in_room = false;
-    const Edge& e = graph.edge(p->loc.edge);
-    const NodeId room_node =
-        graph.node(e.a).kind == NodeKind::kRoomCenter ? e.a : e.b;
-    IPQS_DCHECK(graph.node(room_node).kind == NodeKind::kRoomCenter);
-    p->heading = graph.OtherEnd(e.id, room_node);
-  }
-
-  double remaining = p->speed * dt;
-  // Termination guard: each loop iteration either consumes distance or
-  // parks the particle; graphs with very short edges still converge fast.
-  for (int guard = 0; remaining > 1e-12 && guard < 10000; ++guard) {
-    const Edge& e = graph.edge(p->loc.edge);
-    IPQS_DCHECK(p->heading == e.a || p->heading == e.b);
-    const double target = graph.OffsetOfNode(e.id, p->heading);
-    const double dist_to_node = std::fabs(target - p->loc.offset);
-
-    if (remaining < dist_to_node) {
-      p->loc.offset += target > p->loc.offset ? remaining : -remaining;
-      return;
-    }
-
-    remaining -= dist_to_node;
-    const NodeId node = p->heading;
-    if (graph.node(node).kind == NodeKind::kRoomCenter) {
-      // Entered the room: park and start the dwell process. The leftover
-      // movement budget is absorbed by the room (its interior is not
-      // spatially resolved beyond the stub).
-      p->loc.offset = target;
-      p->in_room = true;
-      return;
-    }
-    const EdgeId next = ChooseNextEdge(graph, node, e.id, rng);
-    p->loc.edge = next;
-    p->loc.offset = graph.OffsetOfNode(next, node);
-    p->heading = graph.OtherEnd(next, node);
-  }
 }
 
 }  // namespace ipqs

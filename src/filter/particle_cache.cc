@@ -26,7 +26,7 @@ std::optional<FilterResult> ParticleCache::Lookup(
     Bump(metrics_.misses);
     return std::nullopt;
   }
-  const Entry& entry = it->second;
+  Entry& entry = it->second;
   if (entry.device != history.current_device) {
     // New device since the cached run: stale by the paper's rule.
     shard.entries.erase(it);
@@ -54,7 +54,7 @@ std::optional<FilterResult> ParticleCache::Lookup(
   }
   ++shard.stats.hits;
   Bump(metrics_.hits);
-  return entry.state;
+  return std::move(entry.state);
 }
 
 std::optional<ParticleCache::ProbeResult> ParticleCache::Probe(

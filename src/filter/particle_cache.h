@@ -28,8 +28,9 @@ struct CacheMetrics {
 };
 
 // Cache management module (Section 4.5): stores the particle state an
-// object's filter run ended in, so a follow-up query resumes filtering from
-// that timestamp instead of replaying the whole history.
+// object's filter run ended in (a ParticleSoA, as the filter left it), so
+// a follow-up query resumes filtering from that timestamp instead of
+// replaying the whole history.
 //
 // Invalidation rules:
 //  * Paper's rule: the moment an object is detected by a NEW device,
@@ -68,7 +69,9 @@ class ParticleCache {
 
   // Cached state for `object` if present, still keyed to the history's
   // current device, and not stale-coasted; otherwise evicts any invalid
-  // entry and returns nullopt.
+  // entry and returns nullopt. A hit moves the particles out of the cache
+  // (no copy); the entry keeps its key and state time, and the caller
+  // stores the advanced state back with Insert, which reuses the entry.
   std::optional<FilterResult> Lookup(ObjectId object,
                                      const DataCollector::ObjectHistory& history);
 

@@ -1,8 +1,6 @@
 #include "filter/particle_filter.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "filter/resampler.h"
@@ -22,82 +20,68 @@ ParticleFilter::ParticleFilter(const WalkingGraph* graph,
   IPQS_CHECK_GT(config.num_particles, 0);
   IPQS_CHECK_GE(config.max_coast_seconds, 0);
   edges_soa_ = EdgeSoA::FromGraph(*graph);
-}
-
-std::vector<Particle> ParticleFilter::InitializeAtReader(ReaderId reader,
-                                                         Rng& rng) const {
-  const Reader& r = deployment_->reader(reader);
-  const std::vector<EdgeInterval> intervals =
-      EdgeIntervalsInRange(*graph_, r);
-
-  std::vector<Particle> particles;
-  particles.reserve(config_.num_particles);
-  const double w = 1.0 / config_.num_particles;
-
-  if (intervals.empty()) {
-    // Pathological range (smaller than the snap error): park everything at
-    // the reader's own graph location.
-    for (int i = 0; i < config_.num_particles; ++i) {
-      Particle p;
-      p.loc = r.loc;
-      const Edge& e = graph_->edge(r.loc.edge);
-      p.heading = rng.Bernoulli(0.5) ? e.a : e.b;
-      p.speed = motion_.SampleSpeed(rng);
-      p.weight = w;
-      particles.push_back(p);
+  reader_support_.resize(static_cast<size_t>(deployment->num_readers()));
+  for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
+    ReaderSupport& support = reader_support_[r];
+    support.intervals = EdgeIntervalsInRange(*graph, deployment->reader(r));
+    for (const EdgeInterval& iv : support.intervals) {
+      support.lengths.push_back(iv.Length());
     }
-    return particles;
   }
-
-  std::vector<double> lengths;
-  lengths.reserve(intervals.size());
-  for (const EdgeInterval& iv : intervals) {
-    lengths.push_back(iv.Length());
-  }
-
-  for (int i = 0; i < config_.num_particles; ++i) {
-    const EdgeInterval& iv = intervals[rng.Categorical(lengths)];
-    const Edge& e = graph_->edge(iv.edge);
-    Particle p;
-    p.loc = GraphLocation{iv.edge, rng.Uniform(iv.lo, iv.hi)};
-    p.heading = rng.Bernoulli(0.5) ? e.a : e.b;
-    p.speed = motion_.SampleSpeed(rng);
-    p.weight = w;
-    particles.push_back(p);
-  }
-  return particles;
 }
 
-void ParticleFilter::Advance(std::vector<Particle>* particles,
+void ParticleFilter::InitializeAtReader(ReaderId reader, Rng& rng,
+                                        ParticleSoA* particles) const {
+  IPQS_CHECK(reader >= 0 &&
+             static_cast<size_t>(reader) < reader_support_.size())
+      << "unknown reader " << reader;
+  const Reader& r = deployment_->reader(reader);
+  const ReaderSupport& support = reader_support_[reader];
+  const size_t n = static_cast<size_t>(config_.num_particles);
+  particles->Resize(n);
+  const double w = 1.0 / config_.num_particles;
+  for (size_t i = 0; i < n; ++i) {
+    // Pathological range (smaller than the snap error): park everything
+    // at the reader's own graph location.
+    GraphLocation loc = r.loc;
+    if (!support.intervals.empty()) {
+      const EdgeInterval& iv =
+          support.intervals[rng.Categorical(support.lengths)];
+      loc = GraphLocation{iv.edge, rng.Uniform(iv.lo, iv.hi)};
+    }
+    particles->edge[i] = loc.edge;
+    particles->offset[i] = loc.offset;
+    particles->heading[i] =
+        rng.Bernoulli(0.5) ? edges_soa_.a[loc.edge] : edges_soa_.b[loc.edge];
+    particles->speed[i] = motion_.SampleSpeed(rng);
+    particles->weight[i] = w;
+    particles->in_room[i] = 0;
+  }
+}
+
+void ParticleFilter::Advance(ParticleSoA* particles,
                              const DataCollector::ObjectHistory& history,
                              int64_t from_time, int64_t to_time, int* seconds,
                              Rng& rng) const {
-  std::unordered_map<int64_t, ReaderId> reading_at;
-  reading_at.reserve(history.entries.size());
+  // A cursor over the ascending readings: the first one after from_time.
   // The newest observation at or before from_time anchors the gap clock;
   // computed from the history (not from from_time) so a cache Resume sees
   // the same gap a full Run would.
-  int64_t last_obs = std::numeric_limits<int64_t>::min();
-  for (const AggregatedEntry& e : history.entries) {
-    reading_at[e.time] = e.reader;
-    if (e.time <= from_time) {
-      last_obs = std::max(last_obs, e.time);
-    }
-  }
-  if (last_obs == std::numeric_limits<int64_t>::min()) {
-    last_obs = from_time;
-  }
+  const std::vector<AggregatedEntry>& entries = history.entries;
+  size_t next = static_cast<size_t>(
+      std::upper_bound(entries.begin(), entries.end(), from_time,
+                       [](int64_t t, const AggregatedEntry& e) {
+                         return t < e.time;
+                       }) -
+      entries.begin());
+  int64_t last_obs = next > 0 ? entries[next - 1].time : from_time;
 
-  // The per-second stages run on the structure-of-arrays layout; AoS is
-  // only the interchange format at the boundaries (cache, persistence,
-  // anchor projection, re-seeding). One conversion pair per Advance call,
-  // amortized over all simulated seconds. The buffers are thread_local so
-  // the hot loop allocates nothing after warm-up; safe because Advance is
-  // non-reentrant and all randomness flows through the explicit `rng`.
-  thread_local ParticleSoA soa;
+  // The buffers are thread_local so the hot loop allocates nothing after
+  // warm-up; safe because Advance is non-reentrant and all randomness
+  // flows through the explicit `rng`.
   thread_local FilterArena arena;
   thread_local std::vector<uint8_t> trust_mask;
-  soa.AssignFrom(*particles);
+  ParticleSoA& soa = *particles;
   const EdgeSoA& edges = edges_soa_;
 
   for (int64_t tj = from_time + 1; tj <= to_time; ++tj) {
@@ -125,17 +109,24 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
                                config_.gap_position_jitter, rng);
     }
 
-    // Update: reweight against the observation of second tj, if any.
-    const auto it = reading_at.find(tj);
+    // Update: reweight against the observation of second tj, if any. When
+    // several readings share a second, the last one wins.
+    while (next < entries.size() && entries[next].time < tj) {
+      ++next;
+    }
+    ReaderId reading = kInvalidId;
+    while (next < entries.size() && entries[next].time == tj) {
+      reading = entries[next++].reader;
+    }
     bool reweighted = false;
-    if (it != reading_at.end()) {
+    if (reading != kInvalidId) {
       last_obs = tj;
       const size_t n = soa.size();
       arena.x.resize(n);
       arena.y.resize(n);
       ComputePositions(edges, soa, arena.x.data(), arena.y.data());
       const size_t consistent = measurement_.WeightOnDetection(
-          *deployment_, it->second, n, arena.x.data(), arena.y.data(),
+          *deployment_, reading, n, arena.x.data(), arena.y.data(),
           soa.weight.data());
       if (consistent == 0) {
         // The whole cloud contradicts a trustworthy observation (sample
@@ -143,7 +134,7 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
         // finds very unlikely). Re-seed at the detecting reader — exactly
         // the Algorithm 2 initialization, applied mid-stream. (The
         // scaled weights are discarded with the rest of the old cloud.)
-        soa.AssignFrom(InitializeAtReader(it->second, rng));
+        InitializeAtReader(reading, rng, &soa);
         if (metrics_.reseeds != nullptr) {
           metrics_.reseeds->Increment();
         }
@@ -199,15 +190,20 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
           config_.resample_ess_fraction * static_cast<double>(soa.size());
       if (EffectiveSampleSize(soa) <= ess_threshold) {
         Resample(config_.resampling, &soa, &arena, rng);
-        motion_.RoughenAll(edges, &soa, rng);
-      }
-      if (timed && metrics_.resample_ns != nullptr) {
+        if (timed && metrics_.resample_ns != nullptr) {
+          const int64_t now_ns = obs::MonotonicNanos();
+          metrics_.resample_ns->Observe(now_ns - stage_start);
+          stage_start = now_ns;
+        }
+        motion_.RoughenAll(edges, &soa, &arena, rng);
+        if (timed && metrics_.roughen_ns != nullptr) {
+          metrics_.roughen_ns->Observe(obs::MonotonicNanos() - stage_start);
+        }
+      } else if (timed && metrics_.resample_ns != nullptr) {
         metrics_.resample_ns->Observe(obs::MonotonicNanos() - stage_start);
       }
     }
   }
-
-  soa.CopyTo(particles);
 }
 
 FilterResult ParticleFilter::Run(const DataCollector::ObjectHistory& history,
@@ -222,7 +218,7 @@ FilterResult ParticleFilter::Run(const DataCollector::ObjectHistory& history,
   const int64_t tmin = std::min(td + config_.max_coast_seconds, now);
 
   FilterResult result;
-  result.particles = InitializeAtReader(history.entries.front().reader, rng);
+  InitializeAtReader(history.entries.front().reader, rng, &result.particles);
   result.time = t0;
   Advance(&result.particles, history, t0, tmin, &result.seconds_processed,
           rng);

@@ -8,7 +8,6 @@
 #include "filter/anchor_distribution.h"
 #include "filter/measurement_model.h"
 #include "filter/motion_model.h"
-#include "filter/particle.h"
 #include "filter/particle_soa.h"
 #include "filter/resampler.h"
 #include "graph/anchor_points.h"
@@ -23,13 +22,14 @@ namespace ipqs {
 // run. The per-stage histograms sample every 4th simulated second of the
 // Advance loop (deterministically, on the absolute timestamp), so their
 // distributions describe per-second stage cost while the clock overhead
-// in the hot loop stays ~1%.
+// in the hot loop stays ~1%. Stage sampling is on when predict_ns is set.
 struct FilterMetrics {
   obs::Histogram* run_ns = nullptr;       // Full Algorithm 2 runs.
   obs::Histogram* resume_ns = nullptr;    // Cache-hit resumptions.
   obs::Histogram* predict_ns = nullptr;   // Sampled per-second motion step.
   obs::Histogram* weight_ns = nullptr;    // Sampled per-second reweight.
   obs::Histogram* resample_ns = nullptr;  // Sampled per-second resample.
+  obs::Histogram* roughen_ns = nullptr;   // Sampled post-resample roughen.
   obs::Gauge* particles = nullptr;        // Particle count of the last run.
   // Mid-stream re-seeds: seconds where the whole cloud contradicted a
   // reading and the filter re-initialized at the detecting reader. A
@@ -81,9 +81,10 @@ struct FilterConfig {
   double gap_position_jitter = 0.0;
 };
 
-// The state a filter run ends in; cacheable and resumable.
+// The state a filter run ends in; cacheable and resumable. Run and Resume
+// advance `particles` in place.
 struct FilterResult {
-  std::vector<Particle> particles;
+  ParticleSoA particles;
   int64_t time = 0;          // Simulation second the particles represent.
   int seconds_processed = 0; // Motion steps executed (work metric).
 
@@ -116,10 +117,11 @@ class ParticleFilter {
   void SetSilenceTrust(const SilenceTrustProvider* trust) { trust_ = trust; }
   const SilenceTrustProvider* silence_trust() const { return trust_; }
 
-  // Particles uniformly distributed over the graph stretches inside
-  // `reader`'s activation range, each with its own random direction and
-  // Gaussian speed.
-  std::vector<Particle> InitializeAtReader(ReaderId reader, Rng& rng) const;
+  // Replaces `particles` with num_particles particles uniformly distributed
+  // over the graph stretches inside `reader`'s activation range, each with
+  // its own random direction and Gaussian speed.
+  void InitializeAtReader(ReaderId reader, Rng& rng,
+                          ParticleSoA* particles) const;
 
   // Full Algorithm 2 run for one object: from its first retained reading to
   // min(last reading + max_coast_seconds, now).
@@ -140,7 +142,7 @@ class ParticleFilter {
  private:
   // Advances particles from `from_time` (exclusive) to `to_time`
   // (inclusive), applying reweight/resample at seconds with readings.
-  void Advance(std::vector<Particle>* particles,
+  void Advance(ParticleSoA* particles,
                const DataCollector::ObjectHistory& history, int64_t from_time,
                int64_t to_time, int* seconds, Rng& rng) const;
 
@@ -155,6 +157,15 @@ class ParticleFilter {
   // touch; built once here since the graph is immutable while the filter
   // exists (and Run/Resume are const + thread-safe, so no lazy init).
   EdgeSoA edges_soa_;
+  // Per reader (indexed by ReaderId): the graph stretches inside its
+  // activation range and their lengths, the support InitializeAtReader
+  // draws from. Built once here, like edges_soa_; the deployment must not
+  // gain readers while the filter exists.
+  struct ReaderSupport {
+    std::vector<EdgeInterval> intervals;
+    std::vector<double> lengths;
+  };
+  std::vector<ReaderSupport> reader_support_;
 };
 
 }  // namespace ipqs

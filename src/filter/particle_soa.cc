@@ -16,42 +16,6 @@ void ParticleSoA::Resize(size_t n) {
   in_room.resize(n);
 }
 
-void ParticleSoA::Clear() { Resize(0); }
-
-void ParticleSoA::AssignFrom(const std::vector<Particle>& particles) {
-  const size_t n = particles.size();
-  Resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Particle& p = particles[i];
-    edge[i] = p.loc.edge;
-    offset[i] = p.loc.offset;
-    heading[i] = p.heading;
-    speed[i] = p.speed;
-    weight[i] = p.weight;
-    in_room[i] = p.in_room ? 1 : 0;
-  }
-}
-
-void ParticleSoA::CopyTo(std::vector<Particle>* particles) const {
-  const size_t n = size();
-  particles->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    Particle& p = (*particles)[i];
-    p.loc.edge = edge[i];
-    p.loc.offset = offset[i];
-    p.heading = heading[i];
-    p.speed = speed[i];
-    p.weight = weight[i];
-    p.in_room = in_room[i] != 0;
-  }
-}
-
-std::vector<Particle> ParticleSoA::ToParticles() const {
-  std::vector<Particle> out;
-  CopyTo(&out);
-  return out;
-}
-
 Particle ParticleSoA::Get(size_t i) const {
   IPQS_DCHECK(i < size());
   Particle p;

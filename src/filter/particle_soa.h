@@ -4,24 +4,35 @@
 #include <cstdint>
 #include <vector>
 
-#include "filter/particle.h"
 #include "graph/walking_graph.h"
 
 namespace ipqs {
 
-// Structure-of-arrays particle state: the same hypothesis set as a
-// std::vector<Particle>, with each field in its own contiguous buffer so
-// the filter's per-second stages (predict, weight, resample) stream over
-// flat arrays instead of striding through 48-byte structs. The AoS
-// Particle remains the interchange format — the cache, the persistence
-// layer, and anchor projection all keep consuming std::vector<Particle> —
-// and the conversions below are the only bridge between the two layouts.
+// One hypothesis of an object's state: a position on the walking graph, a
+// heading (the edge endpoint the particle is walking toward), a walking
+// speed, and an importance weight. This is only the value type of
+// ParticleSoA::Get/Set, for building or inspecting one particle; particle
+// sets live in ParticleSoA.
+struct Particle {
+  GraphLocation loc;
+  NodeId heading = kInvalidId;  // One of loc.edge's endpoints.
+  double speed = 1.0;           // Meters per second.
+  double weight = 1.0;
+  // True while dwelling inside a room (parked at the room-center end of a
+  // stub edge, waiting for the exit coin flip).
+  bool in_room = false;
+
+  friend bool operator==(const Particle&, const Particle&) = default;
+};
+
+// A particle set in structure-of-arrays form, the only particle
+// representation in memory: the filter advances it in place, the cache
+// stores it, snapping reads it, and persistence writes it. Each field has
+// its own contiguous buffer, so the per-second stages (predict, weight,
+// resample, roughen) stream over flat arrays.
 //
-// Determinism contract: conversions are field copies (no arithmetic), so
-// AoS -> SoA -> AoS round-trips bit-exactly, and every reduction over a
-// ParticleSoA (TotalWeight, NormalizeWeights, EffectiveSampleSize) sums in
-// ascending index order — the same fixed order as the AoS versions in
-// particle.h, so both layouts produce byte-identical results.
+// Determinism contract: every reduction over a ParticleSoA (TotalWeight,
+// NormalizeWeights, EffectiveSampleSize) sums in ascending index order.
 struct ParticleSoA {
   std::vector<EdgeId> edge;
   std::vector<double> offset;
@@ -29,20 +40,17 @@ struct ParticleSoA {
   std::vector<double> speed;
   std::vector<double> weight;
   // Bool stored one-per-byte: std::vector<bool> packs bits, which defeats
-  // both simple vector loads and the Set/Get field copies.
+  // simple vector loads.
   std::vector<uint8_t> in_room;
 
   size_t size() const { return edge.size(); }
   bool empty() const { return edge.empty(); }
   void Resize(size_t n);
-  void Clear();
-
-  void AssignFrom(const std::vector<Particle>& particles);
-  void CopyTo(std::vector<Particle>* particles) const;
-  std::vector<Particle> ToParticles() const;
 
   Particle Get(size_t i) const;
   void Set(size_t i, const Particle& p);
+
+  friend bool operator==(const ParticleSoA&, const ParticleSoA&) = default;
 };
 
 // Sum of weights in ascending index order; 0 for an empty set.
@@ -52,7 +60,8 @@ double TotalWeight(const ParticleSoA& soa);
 void NormalizeWeights(ParticleSoA* soa);
 
 // Effective sample size 1 / sum(w_i^2) of a normalized set (fixed
-// summation order), matching EffectiveSampleSize(std::vector<Particle>).
+// summation order); a standard degeneracy diagnostic (Ns when uniform, 1
+// when degenerate).
 double EffectiveSampleSize(const ParticleSoA& soa);
 
 // Flat per-edge mirror of the WalkingGraph fields the particle kernels

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "filter/particle.h"
 #include "filter/particle_soa.h"
 
 namespace ipqs {
@@ -24,7 +23,8 @@ enum class ResamplingScheme {
 
 std::string ToString(ResamplingScheme scheme);
 
-// SoA kernels — the filter's hot path. Contract, shared by all schemes:
+// Resampling kernels, the filter's hot path. Contract, shared by all
+// schemes:
 //
 //  * Weights must be pre-normalized (sum to 1 in ascending index order, as
 //    NormalizeWeights produces; checked with IPQS_DCHECK, never silently
@@ -36,8 +36,6 @@ std::string ToString(ResamplingScheme scheme);
 //    monotone cursor pass over sorted quantiles.
 //  * `arena` supplies every buffer (CDF, quantiles, selection indices, the
 //    output double-buffer); nothing is allocated after arena warm-up.
-//  * Draw order is identical to the historical AoS implementation: the
-//    kernels consume exactly the same Rng sequence.
 void Resample(ResamplingScheme scheme, ParticleSoA* soa, FilterArena* arena,
               Rng& rng);
 void SystematicResample(ParticleSoA* soa, FilterArena* arena, Rng& rng);
@@ -53,17 +51,6 @@ void SystematicResample(ParticleSoA* soa, FilterArena* arena, Rng& rng);
 void SelectIndicesAtQuantiles(const std::vector<double>& cdf,
                               const std::vector<double>& quantiles,
                               uint32_t* sel);
-
-// AoS convenience wrappers (tests, benches, library users). Unlike the
-// SoA kernels these DO normalize first — the historical contract: callers
-// may pass arbitrary positive weights. A call on already-normalized
-// weights performs the same (numerically near-identity) extra division the
-// historical implementation did, so existing pinned sequences reproduce.
-//
-// Precondition: at least one particle with positive weight.
-void SystematicResample(std::vector<Particle>* particles, Rng& rng);
-void Resample(ResamplingScheme scheme, std::vector<Particle>* particles,
-              Rng& rng);
 
 }  // namespace ipqs
 

@@ -54,14 +54,15 @@ RawReading GetReading(BufferReader& r) {
 void PutFilterResult(BufferWriter& w, const FilterResult& state) {
   w.PutI64(state.time);
   w.PutI32(state.seconds_processed);
-  w.PutU32(static_cast<uint32_t>(state.particles.size()));
-  for (const Particle& p : state.particles) {
-    w.PutI32(p.loc.edge);
-    w.PutDouble(p.loc.offset);
-    w.PutI32(p.heading);
-    w.PutDouble(p.speed);
-    w.PutDouble(p.weight);
-    w.PutBool(p.in_room);
+  const ParticleSoA& p = state.particles;
+  w.PutU32(static_cast<uint32_t>(p.size()));
+  for (size_t i = 0; i < p.size(); ++i) {
+    w.PutI32(p.edge[i]);
+    w.PutDouble(p.offset[i]);
+    w.PutI32(p.heading[i]);
+    w.PutDouble(p.speed[i]);
+    w.PutDouble(p.weight[i]);
+    w.PutBool(p.in_room[i] != 0);
   }
 }
 
@@ -72,14 +73,15 @@ bool GetFilterResult(BufferReader& r, FilterResult* state) {
   if (!r.ok() || static_cast<uint64_t>(n) * 33 > r.remaining()) {
     return false;
   }
-  state->particles.resize(n);
-  for (Particle& p : state->particles) {
-    p.loc.edge = r.GetI32();
-    p.loc.offset = r.GetDouble();
-    p.heading = r.GetI32();
-    p.speed = r.GetDouble();
-    p.weight = r.GetDouble();
-    p.in_room = r.GetBool();
+  ParticleSoA& p = state->particles;
+  p.Resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    p.edge[i] = r.GetI32();
+    p.offset[i] = r.GetDouble();
+    p.heading[i] = r.GetI32();
+    p.speed[i] = r.GetDouble();
+    p.weight[i] = r.GetDouble();
+    p.in_room[i] = r.GetBool() ? 1 : 0;
   }
   return r.ok();
 }

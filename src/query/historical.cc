@@ -25,8 +25,7 @@ HistoricalEngine::HistoricalEngine(const WalkingGraph* graph,
       symbolic_(anchors, anchor_graph, deployment, deployment_graph,
                 config.symbolic),
       range_eval_(plan, anchors),
-      knn_eval_(graph, anchors, anchor_graph),
-      rng_(config.seed) {
+      knn_eval_(graph, anchors, anchor_graph) {
   IPQS_CHECK(store != nullptr);
 }
 
@@ -53,7 +52,11 @@ const AnchorDistribution* HistoricalEngine::InferObjectAt(ObjectId object,
   if (config_.method == InferenceMethod::kSymbolicModel) {
     dist = symbolic_.Infer(*history, time);
   } else {
-    const FilterResult state = filter_.Run(*history, time, rng_);
+    // Each (object, time) replay draws from its own stream, so an answer
+    // does not depend on which objects were inferred before it.
+    Rng rng = Rng::ForStream(config_.seed, static_cast<uint64_t>(object),
+                             static_cast<uint64_t>(time));
+    const FilterResult state = filter_.Run(*history, time, rng);
     ++stats_.filter_runs;
     stats_.filter_seconds += state.seconds_processed;
     dist = AnchorDistribution::FromParticles(*anchors_, state.particles);

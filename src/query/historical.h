@@ -57,7 +57,6 @@ class HistoricalEngine {
   AnchorObjectTable table_;
   int64_t table_time_ = -1;
   EngineStats stats_;
-  Rng rng_;
 };
 
 }  // namespace ipqs

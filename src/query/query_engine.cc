@@ -125,6 +125,8 @@ void QueryEngine::InitObservability() {
   filter_metrics.weight_ns = metrics_->GetHistogram(p + ".filter.weight_ns");
   filter_metrics.resample_ns =
       metrics_->GetHistogram(p + ".filter.resample_ns");
+  filter_metrics.roughen_ns =
+      metrics_->GetHistogram(p + ".filter.roughen_ns");
   filter_metrics.particles = metrics_->GetGauge(p + ".filter.particles");
   filter_metrics.reseeds = metrics_->GetCounter(p + ".filter.reseed_total");
   filter_.SetMetrics(filter_metrics);

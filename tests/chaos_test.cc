@@ -521,9 +521,9 @@ TEST(StaleCutoff, FilterNeverCoastsPastMaxCoastSeconds) {
                 sim->config().filter.max_coast_seconds);
 }
 
-// Gap widening (FilterConfig::gap_position_jitter): WidenPosition diffuses
-// hallway particles along their edge (clamped), leaves parked particles
-// alone, and stays off by default.
+// Gap widening (FilterConfig::gap_position_jitter): WidenPositionAll
+// diffuses hallway particles along their edge (clamped), leaves parked
+// particles alone, and stays off by default.
 TEST(GapWidening, WidenPositionDiffusesHallwayParticlesOnly) {
   SimulationConfig config;
   config.trace.num_objects = 5;
@@ -544,31 +544,33 @@ TEST(GapWidening, WidenPositionDiffusesHallwayParticlesOnly) {
   const double length = sim->graph().edge(hallway).length;
 
   const MotionModel motion(sim->config().filter.motion);
+  const EdgeSoA edges = EdgeSoA::FromGraph(sim->graph());
+  FilterArena arena;
   Rng rng(5);
-  std::vector<Particle> cloud(64);
-  for (Particle& p : cloud) {
-    p.loc = GraphLocation{hallway, length / 2};
-    motion.WidenPosition(sim->graph(), &p, 0.8, rng);
-    EXPECT_GE(p.loc.offset, 0.0);
-    EXPECT_LE(p.loc.offset, length);
+  // 64 hallway particles mid-edge, then one parked in a room.
+  constexpr size_t kHallway = 64;
+  ParticleSoA cloud;
+  cloud.Resize(kHallway + 1);
+  for (size_t i = 0; i < kHallway; ++i) {
+    cloud.Set(i, Particle{.loc = {hallway, length / 2}});
   }
+  cloud.Set(kHallway, Particle{.loc = {hallway, 1.0}, .in_room = true});
+  motion.WidenPositionAll(edges, &cloud, &arena, 0.8, rng);
   double var = 0.0;
-  for (const Particle& p : cloud) {
-    const double d = p.loc.offset - length / 2;
+  for (size_t i = 0; i < kHallway; ++i) {
+    EXPECT_GE(cloud.offset[i], 0.0);
+    EXPECT_LE(cloud.offset[i], length);
+    const double d = cloud.offset[i] - length / 2;
     var += d * d;
   }
-  EXPECT_GT(var / cloud.size(), 0.0);  // The cloud actually spread.
+  EXPECT_GT(var / kHallway, 0.0);  // The cloud actually spread.
+  // Parked particles are left alone.
+  EXPECT_EQ(cloud.offset[kHallway], 1.0);
 
-  // Parked particles and sigma=0 are no-ops.
-  Particle parked;
-  parked.loc = GraphLocation{hallway, 1.0};
-  parked.in_room = true;
-  motion.WidenPosition(sim->graph(), &parked, 0.8, rng);
-  EXPECT_EQ(parked.loc.offset, 1.0);
-  Particle frozen;
-  frozen.loc = GraphLocation{hallway, 1.0};
-  motion.WidenPosition(sim->graph(), &frozen, 0.0, rng);
-  EXPECT_EQ(frozen.loc.offset, 1.0);
+  // sigma=0 is a no-op.
+  const ParticleSoA before = cloud;
+  motion.WidenPositionAll(edges, &cloud, &arena, 0.0, rng);
+  EXPECT_EQ(cloud, before);
 }
 
 // With the jitter armed, a long-gap filter run still completes and yields

@@ -225,7 +225,8 @@ FilterResult StateAt(int64_t time) {
   p.loc.edge = 1;
   p.loc.offset = 0.5;
   p.weight = 1.0;
-  state.particles = {p};
+  state.particles.Resize(1);
+  state.particles.Set(0, p);
   return state;
 }
 

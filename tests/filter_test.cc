@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include "filter/anchor_distribution.h"
 #include "filter/measurement_model.h"
 #include "filter/motion_model.h"
-#include "filter/particle.h"
 #include "filter/particle_cache.h"
 #include "filter/particle_soa.h"
 #include "filter/particle_filter.h"
@@ -38,23 +38,38 @@ class FilterFixture : public ::testing::Test {
   Deployment deployment_;
 };
 
-std::vector<Particle> MakeParticles(const std::vector<double>& weights) {
-  std::vector<Particle> out;
+// Particle i sits on edge i with weight weights[i].
+ParticleSoA MakeParticles(const std::vector<double>& weights) {
+  ParticleSoA out;
+  out.Resize(weights.size());
   for (size_t i = 0; i < weights.size(); ++i) {
     Particle p;
     p.loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
     p.weight = weights[i];
-    out.push_back(p);
+    out.Set(i, p);
   }
   return out;
+}
+
+// Resampling from arbitrary positive weights: normalize once, then run the
+// kernel (which requires pre-normalized weights).
+void NormalizeAndResample(ResamplingScheme scheme, ParticleSoA* particles,
+                          Rng& rng) {
+  FilterArena arena;
+  NormalizeWeights(particles);
+  Resample(scheme, particles, &arena, rng);
+}
+
+void NormalizeAndResample(ParticleSoA* particles, Rng& rng) {
+  NormalizeAndResample(ResamplingScheme::kSystematic, particles, rng);
 }
 
 TEST(ParticleTest, TotalWeightAndNormalize) {
   auto particles = MakeParticles({1.0, 3.0});
   EXPECT_DOUBLE_EQ(TotalWeight(particles), 4.0);
   NormalizeWeights(&particles);
-  EXPECT_DOUBLE_EQ(particles[0].weight, 0.25);
-  EXPECT_DOUBLE_EQ(particles[1].weight, 0.75);
+  EXPECT_DOUBLE_EQ(particles.weight[0], 0.25);
+  EXPECT_DOUBLE_EQ(particles.weight[1], 0.75);
   EXPECT_DOUBLE_EQ(TotalWeight(particles), 1.0);
 }
 
@@ -68,10 +83,10 @@ TEST(ParticleTest, EffectiveSampleSize) {
 TEST(ResamplerTest, PreservesCountAndUniformWeights) {
   Rng rng(1);
   auto particles = MakeParticles({0.1, 0.9, 0.5, 0.01});
-  SystematicResample(&particles, rng);
+  NormalizeAndResample(&particles, rng);
   ASSERT_EQ(particles.size(), 4u);
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 0.25);
+  for (const double w : particles.weight) {
+    EXPECT_DOUBLE_EQ(w, 0.25);
   }
 }
 
@@ -79,19 +94,19 @@ TEST(ResamplerTest, DropsZeroWeightParticles) {
   Rng rng(2);
   // Particle on edge 3 has zero weight; it must never survive.
   auto particles = MakeParticles({1.0, 1.0, 1.0, 0.0});
-  SystematicResample(&particles, rng);
-  for (const Particle& p : particles) {
-    EXPECT_NE(p.loc.edge, 3);
+  NormalizeAndResample(&particles, rng);
+  for (const EdgeId e : particles.edge) {
+    EXPECT_NE(e, 3);
   }
 }
 
 TEST(ResamplerTest, ReplicatesDominantParticle) {
   Rng rng(3);
   auto particles = MakeParticles({0.0001, 0.0001, 1000.0, 0.0001});
-  SystematicResample(&particles, rng);
+  NormalizeAndResample(&particles, rng);
   int dominant = 0;
-  for (const Particle& p : particles) {
-    dominant += p.loc.edge == 2;
+  for (const EdgeId e : particles.edge) {
+    dominant += e == 2;
   }
   EXPECT_GE(dominant, 3);
 }
@@ -103,9 +118,9 @@ TEST(ResamplerTest, ProportionalSurvival) {
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
     auto particles = MakeParticles({1.0, 3.0});
-    SystematicResample(&particles, rng);
-    for (const Particle& p : particles) {
-      edge1 += p.loc.edge == 1;
+    NormalizeAndResample(&particles, rng);
+    for (const EdgeId e : particles.edge) {
+      edge1 += e == 1;
     }
   }
   EXPECT_NEAR(edge1 / (2.0 * trials), 0.75, 0.02);
@@ -129,35 +144,34 @@ TEST(ResamplerTest, SelectIndicesClampToLastParticleOnAdversarialCdf) {
 }
 
 TEST(ResamplerTest, SoAKernelConsumesPreNormalizedWeightsUnchanged) {
-  // The SoA kernels take pre-normalized weights and must not renormalize;
-  // the AoS wrapper normalizes exactly once on entry. Feeding the kernel
-  // hand-normalized weights and the wrapper the same weights scaled by 8
-  // (all powers of two, so the wrapper's division is bit-exact) must pick
-  // identical survivors from identical draws under every scheme.
+  // The kernels take pre-normalized weights and must not renormalize.
+  // Feeding the kernel hand-normalized weights, and normalize-then-resample
+  // the same weights scaled by 8 (all powers of two, so the division is
+  // bit-exact), must pick identical survivors from identical draws under
+  // every scheme.
   for (const ResamplingScheme scheme :
        {ResamplingScheme::kSystematic, ResamplingScheme::kStratified,
         ResamplingScheme::kMultinomial, ResamplingScheme::kResidual}) {
-    ParticleSoA soa;
-    soa.AssignFrom(MakeParticles({0.25, 0.5, 0.125, 0.125}));
+    ParticleSoA soa = MakeParticles({0.25, 0.5, 0.125, 0.125});
     FilterArena arena;
     Rng rng_soa(77);
     Resample(scheme, &soa, &arena, rng_soa);
 
     auto scaled = MakeParticles({2.0, 4.0, 1.0, 1.0});
-    Rng rng_aos(77);
-    Resample(scheme, &scaled, rng_aos);
+    Rng rng_scaled(77);
+    NormalizeAndResample(scheme, &scaled, rng_scaled);
 
-    EXPECT_EQ(soa.ToParticles(), scaled) << ToString(scheme);
-    for (const Particle& p : scaled) {
-      EXPECT_DOUBLE_EQ(p.weight, 0.25) << ToString(scheme);
+    EXPECT_EQ(soa, scaled) << ToString(scheme);
+    for (const double w : scaled.weight) {
+      EXPECT_DOUBLE_EQ(w, 0.25) << ToString(scheme);
     }
   }
 }
 
 TEST(ParticleSoATest, RoundTripAndReductionsAreBitExact) {
-  // AoS -> SoA -> AoS must be a bit-exact round trip, and the SoA
-  // reductions must match the AoS ones exactly (same fixed summation
-  // order), for an arbitrary particle population.
+  // Set -> Get must be a bit-exact round trip, and the reductions must
+  // match a scalar reference over the particles exactly (ascending index
+  // summation order), for an arbitrary particle population.
   Rng rng(99);
   std::vector<Particle> particles;
   for (int i = 0; i < 257; ++i) {
@@ -172,19 +186,24 @@ TEST(ParticleSoATest, RoundTripAndReductionsAreBitExact) {
   }
 
   ParticleSoA soa;
-  soa.AssignFrom(particles);
-  ASSERT_EQ(soa.size(), particles.size());
-  EXPECT_EQ(soa.ToParticles(), particles);
-  EXPECT_EQ(soa.Get(0), particles[0]);
-  EXPECT_EQ(soa.Get(256), particles[256]);
+  soa.Resize(particles.size());
+  for (size_t i = 0; i < particles.size(); ++i) {
+    soa.Set(i, particles[i]);
+  }
+  double total = 0.0;
+  double sum_sq = 0.0;
+  for (size_t i = 0; i < particles.size(); ++i) {
+    EXPECT_EQ(soa.Get(i), particles[i]) << i;
+    total += particles[i].weight;
+    sum_sq += particles[i].weight * particles[i].weight;
+  }
+  EXPECT_EQ(TotalWeight(soa), total);
+  EXPECT_EQ(EffectiveSampleSize(soa), 1.0 / sum_sq);
 
-  EXPECT_EQ(TotalWeight(soa), TotalWeight(particles));
-  EXPECT_EQ(EffectiveSampleSize(soa), EffectiveSampleSize(particles));
-
-  auto aos_normalized = particles;
-  NormalizeWeights(&aos_normalized);
   NormalizeWeights(&soa);
-  EXPECT_EQ(soa.ToParticles(), aos_normalized);
+  for (size_t i = 0; i < particles.size(); ++i) {
+    EXPECT_EQ(soa.weight[i], particles[i].weight / total) << i;
+  }
 }
 
 class ResamplingSchemeSweep
@@ -193,11 +212,11 @@ class ResamplingSchemeSweep
 TEST_P(ResamplingSchemeSweep, ContractHolds) {
   Rng rng(17);
   auto particles = MakeParticles({0.5, 0.01, 2.0, 0.0, 0.7});
-  Resample(GetParam(), &particles, rng);
+  NormalizeAndResample(GetParam(), &particles, rng);
   ASSERT_EQ(particles.size(), 5u);
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 0.2);
-    EXPECT_NE(p.loc.edge, 3);  // Zero-weight particle never survives.
+  for (size_t i = 0; i < particles.size(); ++i) {
+    EXPECT_DOUBLE_EQ(particles.weight[i], 0.2);
+    EXPECT_NE(particles.edge[i], 3);  // Zero-weight particle never survives.
   }
 }
 
@@ -207,9 +226,9 @@ TEST_P(ResamplingSchemeSweep, ProportionalSurvival) {
   const int trials = 3000;
   for (int t = 0; t < trials; ++t) {
     auto particles = MakeParticles({1.0, 3.0});
-    Resample(GetParam(), &particles, rng);
-    for (const Particle& p : particles) {
-      edge1 += p.loc.edge == 1;
+    NormalizeAndResample(GetParam(), &particles, rng);
+    for (const EdgeId e : particles.edge) {
+      edge1 += e == 1;
     }
   }
   EXPECT_NEAR(edge1 / (2.0 * trials), 0.75, 0.03)
@@ -219,10 +238,10 @@ TEST_P(ResamplingSchemeSweep, ProportionalSurvival) {
 TEST_P(ResamplingSchemeSweep, DominantParticleTakesOver) {
   Rng rng(19);
   auto particles = MakeParticles({1e-9, 1e-9, 1.0, 1e-9});
-  Resample(GetParam(), &particles, rng);
+  NormalizeAndResample(GetParam(), &particles, rng);
   int dominant = 0;
-  for (const Particle& p : particles) {
-    dominant += p.loc.edge == 2;
+  for (const EdgeId e : particles.edge) {
+    dominant += e == 2;
   }
   EXPECT_EQ(dominant, 4) << ToString(GetParam());
 }
@@ -247,9 +266,9 @@ TEST_F(FilterFixture, AdaptiveResamplingSkipsHealthySets) {
   // Weights are normalized but not uniform (in-range vs out-of-range).
   double min_w = 1.0;
   double max_w = 0.0;
-  for (const Particle& p : result.particles) {
-    min_w = std::min(min_w, p.weight);
-    max_w = std::max(max_w, p.weight);
+  for (const double w : result.particles.weight) {
+    min_w = std::min(min_w, w);
+    max_w = std::max(max_w, w);
   }
   EXPECT_LT(min_w, max_w);
   EXPECT_NEAR(TotalWeight(result.particles), 1.0, 1e-9);
@@ -265,8 +284,20 @@ TEST_F(FilterFixture, MotionSampleSpeedTruncated) {
   }
 }
 
+// Advances one particle by one second through the batch predict kernel.
+void StepOne(const MotionModel& model, const WalkingGraph& graph,
+             const EdgeSoA& edges, Particle* p, Rng& rng) {
+  ParticleSoA soa;
+  soa.Resize(1);
+  soa.Set(0, *p);
+  FilterArena arena;
+  model.StepAll(graph, edges, &soa, &arena, 1.0, rng);
+  *p = soa.Get(0);
+}
+
 TEST_F(FilterFixture, MotionStepCoversExactDistanceOnOpenEdge) {
   const MotionModel model;
+  const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
   Rng rng(6);
   // Find a long hallway edge.
   EdgeId long_edge = kInvalidId;
@@ -282,7 +313,7 @@ TEST_F(FilterFixture, MotionStepCoversExactDistanceOnOpenEdge) {
   p.heading = graph_.edge(long_edge).b;
   p.speed = 1.2;
   const Point before = graph_.PositionOf(p.loc);
-  model.Step(graph_, &p, 1.0, rng);
+  StepOne(model, graph_, edges, &p, rng);
   const Point after = graph_.PositionOf(p.loc);
   EXPECT_NEAR(Distance(before, after), 1.2, 1e-9);
 }
@@ -291,6 +322,7 @@ TEST_F(FilterFixture, MotionParksInRoom) {
   MotionConfig config;
   config.room_enter_probability = 1.0;  // Always turn into rooms.
   const MotionModel model(config);
+  const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
   Rng rng(7);
   // Start right before a door node heading toward it.
   const Edge* stub = nullptr;
@@ -310,7 +342,7 @@ TEST_F(FilterFixture, MotionParksInRoom) {
   p.heading = graph_.OtherEnd(stub->id, door);
   p.speed = 1.0;
   for (int i = 0; i < 20 && !p.in_room; ++i) {
-    model.Step(graph_, &p, 1.0, rng);
+    StepOne(model, graph_, edges, &p, rng);
   }
   EXPECT_TRUE(p.in_room);
   // Parked at the room-center end of the stub.
@@ -321,6 +353,7 @@ TEST_F(FilterFixture, RoomExitIsGeometric) {
   MotionConfig config;
   config.room_exit_probability = 0.25;
   const MotionModel model(config);
+  const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
   Rng rng(8);
   const Edge* stub = nullptr;
   for (const Edge& e : graph_.edges()) {
@@ -341,7 +374,7 @@ TEST_F(FilterFixture, RoomExitIsGeometric) {
     p.in_room = true;
     p.speed = 1.0;
     p.heading = room_node;
-    model.Step(graph_, &p, 1.0, rng);
+    StepOne(model, graph_, edges, &p, rng);
     exits += !p.in_room;
   }
   EXPECT_NEAR(exits / static_cast<double>(trials), 0.25, 0.03);
@@ -403,6 +436,7 @@ TEST_F(FilterFixture, RoomDwellTimesAreGeometric) {
   const MotionConfig config;  // room_exit_probability = 0.1.
   ASSERT_DOUBLE_EQ(config.room_exit_probability, 0.1);
   const MotionModel model(config);
+  const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
   Rng rng(43);
   const Edge* stub = nullptr;
   for (const Edge& e : graph_.edges()) {
@@ -436,7 +470,7 @@ TEST_F(FilterFixture, RoomDwellTimesAreGeometric) {
     particle.heading = room_node;
     int dwell = 0;
     while (particle.in_room && dwell < 10000) {
-      model.Step(graph_, &particle, 1.0, rng);
+      StepOne(model, graph_, edges, &particle, rng);
       ++dwell;
     }
     observed[std::min(dwell, tail_after + 1) - 1] += 1;
@@ -496,10 +530,12 @@ TEST_F(FilterFixture, InitializeAtReaderPlacesParticlesInRange) {
   config.num_particles = 128;
   const ParticleFilter filter(&graph_, &deployment_, config);
   Rng rng(11);
-  const auto particles = filter.InitializeAtReader(3, rng);
+  ParticleSoA particles;
+  filter.InitializeAtReader(3, rng, &particles);
   ASSERT_EQ(particles.size(), 128u);
   const Reader& r = deployment_.reader(3);
-  for (const Particle& p : particles) {
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const Particle p = particles.Get(i);
     EXPECT_LE(Distance(graph_.PositionOf(p.loc), r.pos), r.range + 1e-6);
     EXPECT_DOUBLE_EQ(p.weight, 1.0 / 128);
     EXPECT_GT(p.speed, 0.0);
@@ -570,8 +606,8 @@ TEST_F(FilterFixture, FilterLearnsDirection) {
   const double xb = deployment_.reader(b).pos.x;
   int forward = 0;
   int backward = 0;
-  for (const Particle& p : result.particles) {
-    const Point pos = graph_.PositionOf(p.loc);
+  for (size_t i = 0; i < result.particles.size(); ++i) {
+    const Point pos = graph_.PositionOf(result.particles.Get(i).loc);
     if (pos.x > xb + 1.0) ++forward;
     if (pos.x < xb - 1.0) ++backward;
   }
@@ -604,8 +640,9 @@ TEST_F(FilterFixture, ContradictoryObservationReseedsCloud) {
   // The cloud must be concentrated near the far reader now.
   const Point far_pos = deployment_.reader(far_reader).pos;
   int near = 0;
-  for (const Particle& p : result.particles) {
-    near += Distance(graph_.PositionOf(p.loc), far_pos) < 8.0;
+  for (size_t i = 0; i < result.particles.size(); ++i) {
+    near += Distance(graph_.PositionOf(result.particles.Get(i).loc),
+                     far_pos) < 8.0;
   }
   EXPECT_GT(near, static_cast<int>(result.particles.size()) / 2);
 }
@@ -643,6 +680,38 @@ TEST_F(FilterFixture, ReseedIncrementsCounterAndRecordsWeightStage) {
   // Second 101 reweights but is not timed (101 & 3 != 0); second 104 is
   // timed and re-seeds, so the single weight-stage sample is the re-seed.
   EXPECT_EQ(weight_ns.snapshot().count, 1);
+}
+
+TEST_F(FilterFixture, RoughenHasItsOwnStageTimerAndTimersAreObservational) {
+  // Detections on timed seconds (multiples of 4) resample and roughen;
+  // each such second records one resample_ns and one roughen_ns sample,
+  // so resample_ns no longer includes roughening. The timers only observe:
+  // the run's particles are identical with metrics on and off.
+  const auto history = MakeHistory({{100, 3}, {101, 3}, {102, 3}, {103, 3},
+                                    {104, 3}, {105, 3}, {106, 3}, {107, 3},
+                                    {108, 3}});
+  obs::Histogram predict_ns;
+  obs::Histogram resample_ns;
+  obs::Histogram roughen_ns;
+  FilterMetrics metrics;
+  metrics.predict_ns = &predict_ns;
+  metrics.resample_ns = &resample_ns;
+  metrics.roughen_ns = &roughen_ns;
+
+  ParticleFilter timed(&graph_, &deployment_, FilterConfig{});
+  timed.SetMetrics(metrics);
+  const ParticleFilter plain(&graph_, &deployment_, FilterConfig{});
+  Rng rng_timed(29);
+  Rng rng_plain(29);
+  const FilterResult with_timers = timed.Run(history, 112, rng_timed);
+  const FilterResult without = plain.Run(history, 112, rng_plain);
+
+  EXPECT_EQ(with_timers, without);
+  // Timed seconds 104, 108, 112; detections (hence resampling) at 104 and
+  // 108, coasting at 112.
+  EXPECT_EQ(predict_ns.snapshot().count, 3);
+  EXPECT_EQ(resample_ns.snapshot().count, 2);
+  EXPECT_EQ(roughen_ns.snapshot().count, 2);
 }
 
 TEST_F(FilterFixture, EssExactlyAtThresholdStillResamples) {
@@ -690,7 +759,10 @@ TEST_F(FilterFixture, ComputePositionsMatchesGraphPositionOf) {
       reference.push_back(p);
     }
   }
-  soa.AssignFrom(reference);
+  soa.Resize(reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    soa.Set(i, reference[i]);
+  }
   std::vector<double> x(soa.size());
   std::vector<double> y(soa.size());
   ComputePositions(edges, soa, x.data(), y.data());
@@ -698,6 +770,100 @@ TEST_F(FilterFixture, ComputePositionsMatchesGraphPositionOf) {
     const Point expected = graph_.PositionOf(reference[i].loc);
     EXPECT_EQ(x[i], expected.x) << "particle " << i;
     EXPECT_EQ(y[i], expected.y) << "particle " << i;
+  }
+}
+
+// Scalar reference for MotionModel::RoughenAll: per particle, a fresh
+// Gaussian position jitter (hallway particles only, clamped to the edge),
+// then a fresh Gaussian speed jitter (floored at min_speed).
+void ReferenceRoughen(const MotionConfig& config, const WalkingGraph& graph,
+                      Particle* p, Rng& rng) {
+  if (config.position_jitter > 0.0 && !p->in_room) {
+    p->loc.offset =
+        std::clamp(p->loc.offset + rng.Gaussian(0.0, config.position_jitter),
+                   0.0, graph.edge(p->loc.edge).length);
+  }
+  if (config.speed_jitter > 0.0) {
+    p->speed = std::max(p->speed + rng.Gaussian(0.0, config.speed_jitter),
+                        config.min_speed);
+  }
+}
+
+TEST_F(FilterFixture, RoughenAllMatchesScalarReference) {
+  // In-room and hallway particles under the default jitters, each jitter
+  // alone, and jitters wide enough to hit the edge clamps and the speed
+  // floor: the batched draws must reproduce the per-particle reference
+  // bit for bit, and leave the engine in the same state.
+  std::vector<MotionConfig> configs(4);
+  configs[1].speed_jitter = 0.0;
+  configs[2].position_jitter = 0.0;
+  configs[3].position_jitter = 4.0;
+  configs[3].speed_jitter = 1.5;
+  const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const MotionModel model(configs[c]);
+    Rng init(40 + c);
+    std::vector<Particle> reference(150);
+    ParticleSoA soa;
+    soa.Resize(reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      Particle& p = reference[i];
+      const Edge& e = graph_.edge(
+          static_cast<EdgeId>(init.UniformIndex(graph_.edges().size())));
+      p.loc = GraphLocation{e.id, init.Uniform(0.0, e.length)};
+      p.heading = e.b;
+      p.speed = init.Gaussian(1.0, 0.3);
+      p.weight = 1.0 / static_cast<double>(reference.size());
+      p.in_room = init.Bernoulli(0.3);
+      soa.Set(i, p);
+    }
+    Rng rng_batch(77);
+    Rng rng_ref(77);
+    FilterArena arena;
+    model.RoughenAll(edges, &soa, &arena, rng_batch);
+    for (Particle& p : reference) {
+      ReferenceRoughen(configs[c], graph_, &p, rng_ref);
+    }
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(soa.Get(i), reference[i]) << "config " << c << " particle "
+                                          << i;
+    }
+    EXPECT_EQ(rng_batch(), rng_ref()) << "config " << c;
+  }
+}
+
+TEST_F(FilterFixture, FromParticlesMatchesMapReference) {
+  // The flat snap accumulator must reproduce the ordered-map formulation
+  // bit for bit: each anchor's mass summed in particle order, the total in
+  // particle order, entries ascending by anchor, and an anchor reached
+  // only by zero-weight particles kept with probability 0. Two different
+  // clouds in a row check that no accumulator state leaks between calls.
+  Rng rng(21);
+  for (int round = 0; round < 2; ++round) {
+    ParticleSoA particles;
+    particles.Resize(300);
+    for (size_t i = 0; i < particles.size(); ++i) {
+      const Edge& e = graph_.edge(static_cast<EdgeId>(rng.UniformIndex(8)));
+      particles.Set(i, Particle{.loc = {e.id, rng.Uniform(0.0, e.length)},
+                                .weight = i % 7 == 0 ? 0.0
+                                                     : rng.Uniform(0.0, 1.0)});
+    }
+    std::map<AnchorId, double> mass;
+    double total = 0.0;
+    for (size_t i = 0; i < particles.size(); ++i) {
+      mass[anchors_->NearestOnEdge(particles.Get(i).loc)] +=
+          particles.weight[i];
+      total += particles.weight[i];
+    }
+    const AnchorDistribution dist =
+        AnchorDistribution::FromParticles(*anchors_, particles);
+    ASSERT_EQ(dist.entries().size(), mass.size()) << "round " << round;
+    size_t k = 0;
+    for (const auto& [anchor, m] : mass) {
+      EXPECT_EQ(dist.entries()[k].first, anchor) << "round " << round;
+      EXPECT_EQ(dist.entries()[k].second, m / total) << "round " << round;
+      ++k;
+    }
   }
 }
 
@@ -718,7 +884,8 @@ TEST_F(FilterFixture, NegativeInformationPullsMassOutOfSilentZones) {
   const ParticleFilter f_neg(&graph_, &deployment_, negative);
   auto zone_mass = [&](const FilterResult& r) {
     double mass = 0.0;
-    for (const Particle& p : r.particles) {
+    for (size_t i = 0; i < r.particles.size(); ++i) {
+      const Particle p = r.particles.Get(i);
       if (deployment_.FirstCovering(graph_.PositionOf(p.loc)).has_value()) {
         mass += p.weight;
       }
@@ -792,13 +959,11 @@ TEST_F(FilterFixture, FromParticlesSnapsWeightMass) {
   // Two particles on one edge, one on another, weights 1:1:2.
   const EdgeId e0 = 0;
   const EdgeId e1 = 1;
-  std::vector<Particle> particles(3);
-  particles[0].loc = {e0, 0.1};
-  particles[0].weight = 1.0;
-  particles[1].loc = {e0, 0.2};
-  particles[1].weight = 1.0;
-  particles[2].loc = {e1, 0.1};
-  particles[2].weight = 2.0;
+  ParticleSoA particles;
+  particles.Resize(3);
+  particles.Set(0, Particle{.loc = {e0, 0.1}, .weight = 1.0});
+  particles.Set(1, Particle{.loc = {e0, 0.2}, .weight = 1.0});
+  particles.Set(2, Particle{.loc = {e1, 0.1}, .weight = 2.0});
   const AnchorDistribution dist =
       AnchorDistribution::FromParticles(*anchors_, particles);
   EXPECT_NEAR(dist.TotalProbability(), 1.0, 1e-12);
@@ -891,6 +1056,31 @@ TEST(ParticleCacheTest, HitRateStat) {
   EXPECT_NEAR(cache.stats().HitRate(), 2.0 / 3.0, 1e-12);
 }
 
+TEST(ParticleCacheTest, HitMovesStateOutAndInsertMovesItBack) {
+  // A hit hands the cached particle buffers to the caller and Insert
+  // takes them back, so a lookup + resume + insert round trip copies no
+  // particle state.
+  ParticleCache cache;
+  const auto history = MakeHistory({{90, 0}});
+  FilterResult state;
+  state.time = 95;
+  state.particles = MakeParticles({0.25, 0.75});
+  const double* buffer = state.particles.weight.data();
+  cache.Insert(1, history, std::move(state));
+
+  auto hit = cache.Lookup(1, history);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->particles, MakeParticles({0.25, 0.75}));
+  EXPECT_EQ(hit->particles.weight.data(), buffer);
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.Insert(1, history, std::move(*hit));
+  const auto again = cache.Lookup(1, history);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->time, 95);
+  EXPECT_EQ(again->particles.weight.data(), buffer);
+}
+
 // Regression (PR 1): a cached state that coasted to last_reading + 60
 // used to silently ignore a newer same-device reading that landed INSIDE
 // that coasted horizon — ParticleFilter::Resume only advances strictly
@@ -954,26 +1144,27 @@ TEST_F(FilterFixture, ResumeAfterStaleLookupMatchesFullRun) {
   EXPECT_EQ(requeried.time, fresh.time);
   EXPECT_EQ(requeried.seconds_processed, fresh.seconds_processed);
   for (size_t i = 0; i < fresh.particles.size(); ++i) {
-    EXPECT_EQ(requeried.particles[i].loc.edge, fresh.particles[i].loc.edge);
-    EXPECT_DOUBLE_EQ(requeried.particles[i].loc.offset,
-                     fresh.particles[i].loc.offset);
-    EXPECT_DOUBLE_EQ(requeried.particles[i].weight,
-                     fresh.particles[i].weight);
+    EXPECT_EQ(requeried.particles.edge[i], fresh.particles.edge[i]);
+    EXPECT_DOUBLE_EQ(requeried.particles.offset[i],
+                     fresh.particles.offset[i]);
+    EXPECT_DOUBLE_EQ(requeried.particles.weight[i],
+                     fresh.particles.weight[i]);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Golden filter states: bit-exact digests of full filter runs through every
 // code path (all four resampling schemes, negative information, gap
-// widening, adaptive ESS). These froze the pre-SoA array-of-structs
-// answers; the SoA kernels must reproduce them byte-identically. The
+// widening, adaptive ESS). These froze the answers of the original
+// per-particle filter; the batch kernels must reproduce them
+// byte-identically. The
 // digests are a function of the pinned toolchain (libstdc++ distribution
 // draw order); regenerate by running with IPQS_PRINT_GOLDEN=1 and pasting
 // the output.
 
 // FNV-1a over the bit patterns of every particle field, in particle order.
 // Any single-bit difference in any field changes the digest.
-uint64_t ParticleDigest(const std::vector<Particle>& particles) {
+uint64_t ParticleDigest(const ParticleSoA& particles) {
   uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -981,7 +1172,8 @@ uint64_t ParticleDigest(const std::vector<Particle>& particles) {
       h *= 1099511628211ULL;
     }
   };
-  for (const Particle& p : particles) {
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const Particle p = particles.Get(i);
     uint64_t bits = 0;
     mix(static_cast<uint64_t>(static_cast<uint32_t>(p.loc.edge)));
     std::memcpy(&bits, &p.loc.offset, 8);

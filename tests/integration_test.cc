@@ -242,15 +242,18 @@ class ResamplerSizeSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ResamplerSizeSweep, InvariantsHoldForAnySize) {
   const int n = GetParam();
   Rng rng(n);
-  std::vector<Particle> particles(n);
+  ParticleSoA particles;
+  particles.Resize(n);
   for (int i = 0; i < n; ++i) {
-    particles[i].loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
-    particles[i].weight = rng.Uniform(0.001, 1.0);
+    particles.Set(i, Particle{.loc = {static_cast<EdgeId>(i), 0.0},
+                              .weight = rng.Uniform(0.001, 1.0)});
   }
-  SystematicResample(&particles, rng);
+  FilterArena arena;
+  NormalizeWeights(&particles);
+  SystematicResample(&particles, &arena, rng);
   ASSERT_EQ(particles.size(), static_cast<size_t>(n));
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 1.0 / n);
+  for (const double w : particles.weight) {
+    EXPECT_DOUBLE_EQ(w, 1.0 / n);
   }
   EXPECT_NEAR(TotalWeight(particles), 1.0, 1e-9);
 }

@@ -168,7 +168,9 @@ SnapshotData GoldenSnapshot() {
   p2.speed = 0.75;
   p2.weight = 0.5;
   p2.in_room = true;
-  entry.state.particles = {p1, p2};
+  entry.state.particles.Resize(2);
+  entry.state.particles.Set(0, p1);
+  entry.state.particles.Set(1, p2);
   data.pf_cache = {entry};
   return data;
 }

@@ -194,20 +194,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PropertyFixture,
 // low-variance guarantees that make it the paper's default scheme.
 
 // Particles tagged by edge id so survivors are traceable to their source.
-std::vector<Particle> TaggedParticles(const std::vector<double>& weights) {
-  std::vector<Particle> particles(weights.size());
+ParticleSoA TaggedParticles(const std::vector<double>& weights) {
+  ParticleSoA particles;
+  particles.Resize(weights.size());
   for (size_t i = 0; i < weights.size(); ++i) {
-    particles[i].loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
-    particles[i].weight = weights[i];
+    particles.Set(i, Particle{.loc = {static_cast<EdgeId>(i), 0.0},
+                              .weight = weights[i]});
   }
   return particles;
 }
 
-std::vector<int> SurvivorCounts(const std::vector<Particle>& resampled,
-                                size_t n) {
+// Resampling from arbitrary positive weights: normalize once, then run the
+// kernel (which requires pre-normalized weights).
+void NormalizeAndResample(ResamplingScheme scheme, ParticleSoA* particles,
+                          Rng& rng) {
+  FilterArena arena;
+  NormalizeWeights(particles);
+  Resample(scheme, particles, &arena, rng);
+}
+
+std::vector<int> SurvivorCounts(const ParticleSoA& resampled, size_t n) {
   std::vector<int> counts(n, 0);
-  for (const Particle& p : resampled) {
-    ++counts[static_cast<size_t>(p.loc.edge)];
+  for (const EdgeId e : resampled.edge) {
+    ++counts[static_cast<size_t>(e)];
   }
   return counts;
 }
@@ -226,25 +235,22 @@ TEST(SystematicResamplingProperty, CountsWithinOneOfProportional) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     for (const std::vector<double>& weights : shapes) {
       const int n = 64;
-      std::vector<Particle> particles;
+      // n particles cycling through the weight shape (renormalized
+      // before resampling).
+      std::vector<double> cycled;
       for (int i = 0; i < n; ++i) {
-        // n particles cycling through the weight shape (renormalized by
-        // SystematicResample's CDF construction).
-        Particle p;
-        p.loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
-        p.weight = weights[i % weights.size()];
-        particles.push_back(p);
+        cycled.push_back(weights[i % weights.size()]);
       }
       double total = 0.0;
-      for (const Particle& p : particles) {
-        total += p.weight;
+      for (const double w : cycled) {
+        total += w;
       }
-      const std::vector<Particle> before = particles;
+      ParticleSoA particles = TaggedParticles(cycled);
       Rng rng(seed);
-      SystematicResample(&particles, rng);
-      const std::vector<int> counts = SurvivorCounts(particles, before.size());
-      for (size_t i = 0; i < before.size(); ++i) {
-        const double expected = n * before[i].weight / total;
+      NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
+      const std::vector<int> counts = SurvivorCounts(particles, cycled.size());
+      for (size_t i = 0; i < cycled.size(); ++i) {
+        const double expected = n * cycled[i] / total;
         EXPECT_GE(counts[i], static_cast<int>(std::floor(expected)))
             << "seed " << seed << " particle " << i;
         EXPECT_LE(counts[i], static_cast<int>(std::ceil(expected)))
@@ -266,14 +272,15 @@ TEST(SystematicResamplingProperty, PermutedWeightsKeepCountsWithinOne) {
     weights.push_back(weight_rng.Uniform(0.001, 1.0));
   }
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    std::vector<Particle> forward = TaggedParticles(weights);
-    std::vector<Particle> reversed = TaggedParticles(weights);
-    std::reverse(reversed.begin(), reversed.end());
+    ParticleSoA forward = TaggedParticles(weights);
+    ParticleSoA reversed = TaggedParticles(weights);
+    std::reverse(reversed.edge.begin(), reversed.edge.end());
+    std::reverse(reversed.weight.begin(), reversed.weight.end());
 
     Rng rng_a(seed);
     Rng rng_b(seed);
-    SystematicResample(&forward, rng_a);
-    SystematicResample(&reversed, rng_b);
+    NormalizeAndResample(ResamplingScheme::kSystematic, &forward, rng_a);
+    NormalizeAndResample(ResamplingScheme::kSystematic, &reversed, rng_b);
     const std::vector<int> ca = SurvivorCounts(forward, weights.size());
     const std::vector<int> cb = SurvivorCounts(reversed, weights.size());
     for (size_t i = 0; i < weights.size(); ++i) {
@@ -295,12 +302,12 @@ TEST(SystematicResamplingProperty, ZeroWeightNeverSelectedAnyScheme) {
       for (size_t i = 0; i < weights.size(); i += 2) {
         weights[i] = weight_rng.Uniform(0.01, 1.0);  // Odd indices stay 0.
       }
-      std::vector<Particle> particles = TaggedParticles(weights);
+      ParticleSoA particles = TaggedParticles(weights);
       Rng rng(seed * 31);
-      Resample(scheme, &particles, rng);
+      NormalizeAndResample(scheme, &particles, rng);
       ASSERT_EQ(particles.size(), weights.size()) << ToString(scheme);
-      for (const Particle& p : particles) {
-        EXPECT_NE(static_cast<size_t>(p.loc.edge) % 2, 1u)
+      for (const EdgeId e : particles.edge) {
+        EXPECT_NE(static_cast<size_t>(e) % 2, 1u)
             << ToString(scheme) << " resurrected a zero-weight particle";
       }
     }

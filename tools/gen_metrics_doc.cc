@@ -85,7 +85,10 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"<engine>.filter.predict_ns", "Motion-model predict step wall time."},
       {"<engine>.filter.weight_ns",
        "Measurement weighting step wall time."},
-      {"<engine>.filter.resample_ns", "Resampling step wall time."},
+      {"<engine>.filter.resample_ns",
+       "Normalize + resampling step wall time (roughening excluded)."},
+      {"<engine>.filter.roughen_ns",
+       "Post-resample roughening step wall time."},
       {"<engine>.filter.snap_ns",
        "Snapping particle positions to anchor points."},
       {"<engine>.filter.particles",
